@@ -1,11 +1,11 @@
-// Kernel-level throughput bench (DESIGN.md §6c): GEMM / conv2d / LSTM
-// at the shapes the SpectraGAN trainer actually runs, each measured
-// against the pre-GEMM direct kernel so the speedup is computed within
-// one run on one machine. Emits BENCH_KERNELS.json (override with
-// SPECTRA_BENCH_OUT) — the seed point of the kernel perf trajectory; CI
-// re-runs this at reduced iterations and fails if any kernel's speedup
-// regresses >20% against the committed baseline
-// (scripts/check_bench_kernels.py).
+// Kernel-level throughput bench (DESIGN.md §6c): GEMM / conv2d / LSTM /
+// Fourier bridge at the shapes the SpectraGAN trainer and server actually
+// run, each measured against the direct kernel it replaced so the
+// speedup is computed within one run on one machine. Emits
+// BENCH_KERNELS.json (override with SPECTRA_BENCH_OUT) — the seed point
+// of the kernel perf trajectory; CI re-runs this at reduced iterations
+// and fails if any kernel's speedup regresses >20% against the committed
+// baseline (scripts/check_bench_kernels.py).
 //
 // Knobs: SPECTRA_BENCH_ITERS (timed iterations per kernel, default 200),
 // SPECTRA_THREADS (kernels are measured at 1 thread — the single-thread
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench_report.h"
+#include "core/fourier_bridge.h"
 #include "dsp/fft.h"
 #include "nn/autograd.h"
 #include "nn/conv.h"
@@ -26,6 +27,7 @@
 #include "nn/init.h"
 #include "nn/lstm.h"
 #include "nn/ops.h"
+#include "support/fft_bridge_reference.h"
 #include "util/env.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -248,17 +250,25 @@ std::vector<double> random_real_signal(long n, std::uint64_t seed) {
   return x;
 }
 
-// Real-input transform at a power-of-two length: the half-spectrum fast
-// path vs the Bluestein chirp-z evaluation of the same rfft.
-KernelResult bench_rfft_pow2(const std::string& name, long n) {
-  const std::vector<double> x = random_real_signal(n, 31);
+// The Fourier bridge at the serve shape (a [16, 56, 16] spectrum batch,
+// k = 3 expansion of the hourly week): one GEMM per batch element
+// against the cached truncated-DFT basis vs the per-series irfft loop it
+// replaced. Forward only, as in inference.
+KernelResult bench_dft_bridge(const std::string& name, long B, long f_gen, long P, long base_steps,
+                              long expand_k) {
+  Rng rng(37);
+  const nn::Tensor spec = nn::init::gaussian({B, 2 * f_gen, P}, 1.0f, rng);
+  const nn::Var spec_var = nn::Var::constant(spec);
   KernelResult r;
   r.name = name;
-  r.shape = "rfft N=" + std::to_string(n);
-  const double nd = static_cast<double>(n);
-  r.flops_per_call = 5.0 * nd * std::log2(nd);
-  r.seconds_ref = time_kernel([&] { dsp::detail::rfft_bluestein(x); });
-  r.seconds_new = time_kernel([&] { dsp::rfft(x); });
+  r.shape = "bridge [" + std::to_string(B) + "," + std::to_string(2 * f_gen) + "," +
+            std::to_string(P) + "] T=" + std::to_string(base_steps) + " k=" +
+            std::to_string(expand_k);
+  r.flops_per_call = 2.0 * static_cast<double>(B * expand_k * base_steps * 2 * f_gen * P);
+  nn::InferenceGuard guard;
+  r.seconds_ref =
+      time_kernel([&] { oracle::reference_bridge_forward(spec, base_steps, expand_k); });
+  r.seconds_new = time_kernel([&] { core::irfft_bridge(spec_var, base_steps, expand_k); });
   return r;
 }
 
@@ -332,9 +342,9 @@ int main() {
   // per-step unfused path, plus the fusion win in isolation.
   results.push_back(bench_lstm_train_step("lstm_train_gt", 168, 6, 28, 24, 16));
   results.push_back(bench_lstm_fused_train("lstm_fused_train", 168, 6, 28, 24, 16));
-  // Real-input FFT: the hourly 512-bin pow2 fast path and the 168-length
-  // (hourly week) Bluestein fallback with hoisted scratch.
-  results.push_back(bench_rfft_pow2("rfft_pow2", 512));
+  // The Fourier bridge at the serve shape, and the 168-length (hourly
+  // week) Bluestein transform with hoisted scratch.
+  results.push_back(bench_dft_bridge("dft_bridge_serve", 16, 28, 16, 168, 3));
   results.push_back(bench_rfft_bluestein_fallback("rfft_bluestein_fallback", 168));
 
   std::printf("%-28s %-14s %-14s %-10s %-10s %s\n", "kernel", "ref s/call", "new s/call",

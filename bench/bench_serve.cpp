@@ -17,8 +17,9 @@
 // and absolute req/s is compared against the committed baseline.
 //
 // Knobs: SPECTRA_SERVE_CLIENTS (default 8), SPECTRA_SERVE_REQS
-// (requests per client per phase, default 4), SPECTRA_SERVE_GRID (city
-// extent, default 64).
+// (requests per client per phase, default 16; at 4 the loaded phase
+// lasted about 0.2 s and its req/s spread over 3x between runs),
+// SPECTRA_SERVE_GRID (city extent, default 64).
 
 #include <algorithm>
 #include <atomic>
@@ -177,7 +178,7 @@ void emit_json(const std::vector<PhaseResult>& phases, double in_flight_peak, lo
 
 int main() {
   const long clients = env_long("SPECTRA_SERVE_CLIENTS", 8);
-  const long reqs = env_long("SPECTRA_SERVE_REQS", 4);
+  const long reqs = env_long("SPECTRA_SERVE_REQS", 16);
   const long grid = env_long("SPECTRA_SERVE_GRID", 64);
   SG_CHECK(clients >= 1 && reqs >= 1 && grid >= 16, "bench_serve: bad knob values");
 

@@ -12,9 +12,9 @@ reported as warnings only.
 A few kernels additionally carry *absolute* speedup floors, checked on
 the committed baseline itself: these encode PR acceptance criteria (the
 fused LSTM recurrence must hold >= 1.4x over the unfused composition,
-the rfft power-of-two fast path >= 2x over Bluestein at the same
-length), so a regenerated baseline cannot quietly launder a regression
-into the new normal.
+the truncated-DFT Fourier bridge >= 10x over the per-series FFT bridge
+at the serve shape), so a regenerated baseline cannot quietly launder a
+regression into the new normal.
 
 Usage: check_bench_kernels.py <baseline.json> <current.json>
 """
@@ -28,7 +28,7 @@ MIN_RATIO = 0.8
 ABSOLUTE_FLOORS = {
     "lstm_train_gt": 1.4,
     "lstm_fused_train": 1.4,
-    "rfft_pow2": 2.0,
+    "dft_bridge_serve": 10.0,
 }
 
 

@@ -116,8 +116,9 @@ MUTABLE_STATIC_ALLOWLIST = {
     # Bluestein plan cache: annotated SharedMutex + GUARDED_BY buckets
     # (BluesteinCache); plans are immutable after construction (§6a/§6d).
     "src/dsp/fft.cpp:bluestein_cache",
-    # rfft twiddle-plan cache: same SharedMutex + immutable-plan shape.
-    "src/dsp/fft.cpp:rfft_cache",
+    # Truncated-DFT basis cache (Fourier bridge, spectrum targets): same
+    # SharedMutex + immutable shape; bases are shared_ptr<const>.
+    "src/core/dft_basis.cpp:basis_cache",
     # Bluestein per-thread transform scratch: grow-only buffer reused
     # across transforms; per-thread (not plan-owned) because plans are
     # shared read-only across threads. Holds no cross-call state — it is

@@ -1,16 +1,17 @@
 #include "core/fourier_bridge.h"
 
-#include "dsp/fft.h"
+#include "core/dft_basis.h"
+#include "nn/gemm.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace spectra::core {
 
 using nn::Tensor;
 using nn::Var;
+using nn::gemm::Trans;
 
 Var irfft_bridge(const Var& spectrum, long base_steps, long expand_k) {
   SG_TRACE_SPAN("core/irfft_bridge");
@@ -22,80 +23,38 @@ Var irfft_bridge(const Var& spectrum, long base_steps, long expand_k) {
   obs::ScopedTimer timer(seconds);
   const Tensor& spec = spectrum.value();
   SG_CHECK(spec.rank() == 3, "irfft_bridge expects [B, 2*Fgen, P]");
-  SG_CHECK(base_steps >= 2 && expand_k >= 1, "invalid irfft_bridge geometry");
   const long B = spec.dim(0);
   const long two_f = spec.dim(1);
   const long P = spec.dim(2);
   SG_CHECK(two_f % 2 == 0, "spectrum channel count must be even (re/im interleaved)");
-  const long f_gen = two_f / 2;
-  SG_CHECK(f_gen <= base_steps / 2 + 1, "more generated bins than the base signal supports");
-
+  std::shared_ptr<const DftBasis> basis = synthesis_basis(base_steps, expand_k, two_f / 2);
   const long t_out = expand_k * base_steps;
-  const long f_out = t_out / 2 + 1;
-  // Normalized-spectrum convention: the generator emits Y/T (so its
-  // outputs are O(signal) rather than O(signal * T)); the bridge restores
-  // the unnormalized bins and applies the k-multiple energy scale.
-  const double k_scale = static_cast<double>(expand_k) * static_cast<double>(base_steps);
 
+  // Normalized-spectrum convention: the generator emits Y/T (so its
+  // outputs are O(signal) rather than O(signal * T)); the basis restores
+  // the unnormalized bins and applies the k-multiple energy scale.
+  // out_b[t_out x P] = W[t_out x 2f] * spec_b[2f x P] for each b.
   Tensor out({B, t_out, P});
-  // Each (b, p) series is independent; chunk the flattened B*P axis over
-  // the shared pool. Writes into `out` are disjoint per (b, p), so the
-  // result is bitwise identical for any thread count.
-  parallel_for(
-      static_cast<std::size_t>(B * P), /*grain=*/16,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<dsp::Complex> full(static_cast<std::size_t>(f_out));
-        for (std::size_t bp = begin; bp < end; ++bp) {
-          const long b = static_cast<long>(bp) / P;
-          const long p = static_cast<long>(bp) % P;
-          std::fill(full.begin(), full.end(), dsp::Complex(0.0, 0.0));
-          for (long i = 0; i < f_gen; ++i) {
-            // Channel layout: [re_0, im_0, re_1, im_1, ...] over axis 1.
-            const double re = spec[(b * two_f + 2 * i) * P + p];
-            const double im = spec[(b * two_f + 2 * i + 1) * P + p];
-            full[static_cast<std::size_t>(expand_k * i)] = dsp::Complex(re, im) * k_scale;
-          }
-          const std::vector<double> series = dsp::irfft(full, t_out);
-          for (long t = 0; t < t_out; ++t) {
-            out[(b * t_out + t) * P + p] = static_cast<float>(series[static_cast<std::size_t>(t)]);
-          }
-        }
-      });
+  for (long b = 0; b < B; ++b) {
+    nn::gemm::sgemm(Trans::kNo, Trans::kNo, t_out, P, two_f, basis->data(), two_f,
+                    spec.data() + b * two_f * P, P, out.data() + b * t_out * P, P,
+                    /*accumulate=*/false);
+  }
 
   return Var::make_op(
       std::move(out), {spectrum},
-      [B, two_f, f_gen, P, t_out, expand_k, k_scale](const Tensor& g, std::vector<Var>& parents) {
+      [B, two_f, P, t_out, basis = std::move(basis)](const Tensor& g, std::vector<Var>& parents) {
         if (!parents[0].requires_grad()) return;
         SG_TRACE_SPAN("core/irfft_bridge_backward");
         SG_PROFILE_SCOPE("core/irfft_bridge_backward");
+        // The exact adjoint: gs_b += W^T * g_b. W's zero columns give
+        // im(DC) and im(Nyquist) their zero gradient.
         Tensor& gs = parents[0].grad_storage();
-        // Gradient writes touch only the (b, p) column being processed,
-        // so the flattened B*P axis parallelizes with disjoint writes.
-        parallel_for(
-            static_cast<std::size_t>(B * P), /*grain=*/16,
-            [&](std::size_t begin, std::size_t end) {
-              std::vector<double> series(static_cast<std::size_t>(t_out));
-              for (std::size_t bp = begin; bp < end; ++bp) {
-                const long b = static_cast<long>(bp) / P;
-                const long p = static_cast<long>(bp) % P;
-                for (long t = 0; t < t_out; ++t) {
-                  series[static_cast<std::size_t>(t)] = g[(b * t_out + t) * P + p];
-                }
-                const std::vector<dsp::Complex> grad_spec = dsp::rfft(series);
-                for (long i = 0; i < f_gen; ++i) {
-                  const long bin = expand_k * i;
-                  // Hermitian weighting: interior bins appear twice in the
-                  // inverse transform, DC and Nyquist once.
-                  const bool edge = (bin == 0) || (2 * bin == t_out);
-                  const double c = (edge ? 1.0 : 2.0) * k_scale / static_cast<double>(t_out);
-                  const dsp::Complex gb = grad_spec[static_cast<std::size_t>(bin)];
-                  gs[(b * two_f + 2 * i) * P + p] += static_cast<float>(c * gb.real());
-                  if (!edge) {
-                    gs[(b * two_f + 2 * i + 1) * P + p] += static_cast<float>(c * gb.imag());
-                  }
-                }
-              }
-            });
+        for (long b = 0; b < B; ++b) {
+          nn::gemm::sgemm(Trans::kTrans, Trans::kNo, two_f, P, t_out, basis->data(), two_f,
+                          g.data() + b * t_out * P, P, gs.data() + b * two_f * P, P,
+                          /*accumulate=*/true);
+        }
       });
 }
 

@@ -3,16 +3,19 @@
 // (§2.2.2: "IFFT is differentiable so is the overall generator").
 //
 // Forward: an interleaved-complex spectrum tensor [B, 2*Fgen, P] (Fgen
-// generated low-frequency bins per pixel p) is zero-padded to the full
-// T/2+1 bins and inverse-transformed to [B, T, P].
+// generated low-frequency bins per pixel p) is inverse-transformed to
+// [B, T, P] as if zero-padded to the full T/2+1 bins. Since only Fgen
+// bins are nonzero the transform is a fixed linear map of rank 2*Fgen:
+// one GEMM per batch element against a cached cos/sin basis
+// (core/dft_basis.h) with the Hermitian weights folded in.
 //
-// Backward: the adjoint of the (linear) inverse transform — an rFFT of
-// the incoming gradient with Hermitian weighting 2/T on interior bins and
-// 1/T on the DC/Nyquist bins, truncated back to the generated band.
+// Backward: the exact adjoint, a transposed GEMM against the same basis.
+// The imaginary parts of the DC and Nyquist bins do not reach the output
+// and get a zero gradient.
 //
 // The same entry point implements long-horizon generation: when
-// `expand_k > 1` the spectrum is first expanded with the k-multiple rule
-// (dsp/expansion.h, Fig. 4) so the output covers k*T steps.
+// `expand_k > 1` generated bin i lands on bin expand_k*i (the k-multiple
+// rule, dsp/expansion.h, Fig. 4) so the output covers k*T steps.
 
 #pragma once
 

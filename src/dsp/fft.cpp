@@ -141,135 +141,6 @@ void bluestein_transform(std::vector<Complex>& a, int sign, bool reuse_scratch) 
 
 void bluestein(std::vector<Complex>& a, int sign) { bluestein_transform(a, sign, true); }
 
-// Precomputed twiddles for the real-input half-spectrum transform: an
-// N-point rfft/irfft runs one N/2-point complex FFT plus an O(N) unpack
-// against exp(-2πik/N). Cached per length like the Bluestein plans.
-struct RfftPlan {
-  long n = 0;
-  std::vector<Complex> twiddle;  // exp(-2*pi*i*k/n), k = 0..n/2
-};
-
-std::unique_ptr<RfftPlan> build_rfft_plan(long n) {
-  auto plan = std::make_unique<RfftPlan>();
-  plan->n = n;
-  const long h = n / 2;
-  plan->twiddle.resize(static_cast<std::size_t>(h + 1));
-  for (long k = 0; k <= h; ++k) {
-    const double angle = -2.0 * M_PI * static_cast<double>(k) / static_cast<double>(n);
-    plan->twiddle[static_cast<std::size_t>(k)] = Complex(std::cos(angle), std::sin(angle));
-  }
-  return plan;
-}
-
-// Same shape as the Bluestein cache: SharedMutex-guarded, unique_ptr
-// storage for reference stability, double-checked insert.
-struct RfftCache {
-  SharedMutex mutex SG_ACQUIRED_AFTER(lock_order::fft_cache)
-      SG_ACQUIRED_BEFORE(lock_order::log);
-  std::vector<std::unique_ptr<RfftPlan>> plans SG_GUARDED_BY(mutex);
-};
-
-const RfftPlan& rfft_plan(long n) {
-  static RfftCache rfft_cache;
-  {
-    SharedReaderLock lock(rfft_cache.mutex);
-    for (const auto& plan : rfft_cache.plans) {
-      if (plan->n == n) return *plan;
-    }
-  }
-  auto plan = build_rfft_plan(n);
-  SharedMutexLock lock(rfft_cache.mutex);
-  for (const auto& existing : rfft_cache.plans) {
-    if (existing->n == n) return *existing;
-  }
-  rfft_cache.plans.push_back(std::move(plan));
-  return *rfft_cache.plans.back();
-}
-
-obs::Counter& rfft_fast_counter() {
-  static obs::Counter& c = obs::Registry::instance().counter("fft.rfft_fast_calls");
-  return c;
-}
-
-// Power-of-two real-input fast path: pack x into the length-N/2 complex
-// signal z[j] = x[2j] + i·x[2j+1], FFT once at half length, then split
-// even/odd spectra with the cached twiddles:
-//   E[k] = (Z[k] + conj(Z[h-k]))/2,  O[k] = -i/2 · (Z[k] - conj(Z[h-k])),
-//   X[k] = E[k] + w^k·O[k],          w = exp(-2πi/N).
-std::vector<Complex> rfft_pow2(const std::vector<double>& x) {
-  const long n = static_cast<long>(x.size());
-  const long h = n / 2;
-  const RfftPlan& plan = rfft_plan(n);
-  rfft_fast_counter().inc();
-  SG_PROFILE_SCOPE("dsp/fft");
-  if (obs::profile_enabled()) {
-    // One half-length complex FFT plus the O(N) unpack.
-    const double hd = static_cast<double>(h);
-    obs::profile_add_work(5.0 * hd * std::log2(hd > 1.0 ? hd : 2.0) + 8.0 * static_cast<double>(n),
-                          2.0 * static_cast<double>(n) * 16.0);
-  }
-  std::vector<Complex> z(static_cast<std::size_t>(h));
-  for (long j = 0; j < h; ++j) {
-    z[static_cast<std::size_t>(j)] =
-        Complex(x[static_cast<std::size_t>(2 * j)], x[static_cast<std::size_t>(2 * j + 1)]);
-  }
-  radix2(z, -1);
-  std::vector<Complex> out(static_cast<std::size_t>(h + 1));
-  // Bins 0 and h come from Z[0] alone; their imaginary parts cancel
-  // exactly, so pin them to the real axis like the full transform would.
-  out[0] = Complex(z[0].real() + z[0].imag(), 0.0);
-  out[static_cast<std::size_t>(h)] = Complex(z[0].real() - z[0].imag(), 0.0);
-  for (long k = 1; k < h; ++k) {
-    const Complex zk = z[static_cast<std::size_t>(k)];
-    const Complex zc = std::conj(z[static_cast<std::size_t>(h - k)]);
-    const Complex even = 0.5 * (zk + zc);
-    const Complex odd = Complex(0.0, -0.5) * (zk - zc);
-    out[static_cast<std::size_t>(k)] = even + plan.twiddle[static_cast<std::size_t>(k)] * odd;
-  }
-  return out;
-}
-
-// Inverse of rfft_pow2: rebuild Z[k] = E[k] + i·O[k] from the half
-// spectrum (E, O recovered with conjugate twiddles), one inverse FFT at
-// half length, then de-interleave.
-std::vector<double> irfft_pow2(const std::vector<Complex>& spectrum, long n) {
-  const long h = n / 2;
-  const RfftPlan& plan = rfft_plan(n);
-  rfft_fast_counter().inc();
-  SG_PROFILE_SCOPE("dsp/fft");
-  if (obs::profile_enabled()) {
-    const double hd = static_cast<double>(h);
-    obs::profile_add_work(5.0 * hd * std::log2(hd > 1.0 ? hd : 2.0) + 8.0 * static_cast<double>(n),
-                          2.0 * static_cast<double>(n) * 16.0);
-  }
-  std::vector<Complex> z(static_cast<std::size_t>(h));
-  // The legacy path (Hermitian reconstruction + real part of the full
-  // inverse) ignores any imaginary component of the self-mirrored DC and
-  // Nyquist bins — only their Hermitian projection reaches the real
-  // output. Replicate that by pinning both to the real axis; the
-  // fourier_bridge gradient convention (zero grad for DC/Nyquist imag)
-  // depends on it.
-  const Complex x_dc(spectrum[0].real(), 0.0);
-  const Complex x_ny(spectrum[static_cast<std::size_t>(h)].real(), 0.0);
-  for (long k = 0; k < h; ++k) {
-    const Complex xk = k == 0 ? x_dc : spectrum[static_cast<std::size_t>(k)];
-    const Complex xc =
-        k == 0 ? x_ny : std::conj(spectrum[static_cast<std::size_t>(h - k)]);
-    const Complex even = 0.5 * (xk + xc);
-    const Complex odd =
-        std::conj(plan.twiddle[static_cast<std::size_t>(k)]) * (0.5 * (xk - xc));
-    z[static_cast<std::size_t>(k)] = even + Complex(0.0, 1.0) * odd;
-  }
-  radix2(z, +1);
-  std::vector<double> out(static_cast<std::size_t>(n));
-  const double inv_h = 1.0 / static_cast<double>(h);
-  for (long j = 0; j < h; ++j) {
-    out[static_cast<std::size_t>(2 * j)] = z[static_cast<std::size_t>(j)].real() * inv_h;
-    out[static_cast<std::size_t>(2 * j + 1)] = z[static_cast<std::size_t>(j)].imag() * inv_h;
-  }
-  return out;
-}
-
 }  // namespace
 
 void fft_inplace(std::vector<Complex>& a, bool inverse) {
@@ -317,7 +188,6 @@ std::vector<Complex> rfft(const std::vector<double>& x) {
   SG_TRACE_SPAN("fft/rfft");
   const long n = static_cast<long>(x.size());
   SG_CHECK(n >= 1, "rfft of empty signal");
-  if (is_power_of_two(n) && n >= 2) return rfft_pow2(x);
   std::vector<Complex> a(x.begin(), x.end());
   fft_inplace(a, false);
   a.resize(static_cast<std::size_t>(n / 2 + 1));
@@ -330,7 +200,6 @@ std::vector<double> irfft(const std::vector<Complex>& spectrum, long n) {
   SG_CHECK(static_cast<long>(spectrum.size()) == n / 2 + 1,
            "irfft: spectrum size must be n/2+1 (got " + std::to_string(spectrum.size()) +
                " for n=" + std::to_string(n) + ")");
-  if (is_power_of_two(n) && n >= 2) return irfft_pow2(spectrum, n);
   std::vector<Complex> full(static_cast<std::size_t>(n));
   for (long k = 0; k <= n / 2; ++k) {
     full[static_cast<std::size_t>(k)] = spectrum[static_cast<std::size_t>(k)];
@@ -356,15 +225,6 @@ void bluestein_inplace(std::vector<Complex>& a, bool inverse, bool reuse_scratch
     const double inv_n = 1.0 / static_cast<double>(n);
     for (Complex& c : a) c *= inv_n;
   }
-}
-
-std::vector<Complex> rfft_bluestein(const std::vector<double>& x) {
-  const long n = static_cast<long>(x.size());
-  SG_CHECK(n >= 1, "rfft_bluestein of empty signal");
-  std::vector<Complex> a(x.begin(), x.end());
-  if (n > 1) bluestein_transform(a, -1, true);
-  a.resize(static_cast<std::size_t>(n / 2 + 1));
-  return a;
 }
 
 }  // namespace detail

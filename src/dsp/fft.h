@@ -3,9 +3,10 @@
 // helpers (rfft/irfft) with NumPy conventions — forward unnormalized,
 // inverse scaled by 1/N.
 //
-// These kernels serve double duty: the SpectraGAN generator's
-// differentiable inverse transform (core/fourier_bridge) and the offline
-// analysis in data characterization and metrics.
+// These kernels serve the offline analysis in data characterization,
+// spectrum expansion and metrics. The model path does not call them: the
+// generator's bridge and its spectrum targets are truncated DFTs of a few
+// low bins, computed as GEMMs against cached bases (core/dft_basis.h).
 
 #pragma once
 
@@ -24,14 +25,12 @@ void fft_inplace(std::vector<Complex>& a, bool inverse);
 std::vector<Complex> fft(std::vector<Complex> a);
 std::vector<Complex> ifft(std::vector<Complex> a);
 
-// Real-input FFT: returns the N/2+1 non-redundant bins. Power-of-two
-// lengths take a half-spectrum fast path (one N/2-point complex FFT plus
-// an O(N) twiddle unpack, counted by fft.rfft_fast_calls); other lengths
-// fall back to the full-length complex transform.
+// Real-input FFT: returns the N/2+1 non-redundant bins of the
+// full-length complex transform.
 std::vector<Complex> rfft(const std::vector<double>& x);
 
 // Inverse of rfft; `n` is the output length (must satisfy n/2+1 == spectrum size).
-// Power-of-two n takes the inverse half-spectrum fast path.
+// The imaginary parts of the DC and Nyquist bins do not reach the output.
 std::vector<double> irfft(const std::vector<Complex>& spectrum, long n);
 
 // True if n is a power of two (n >= 1).
@@ -39,18 +38,11 @@ bool is_power_of_two(long n);
 
 namespace detail {
 
-// Test/bench hooks. Production code routes through fft_inplace/rfft; these
-// force specific strategies so the fast paths above have an independent
-// reference and an honest bench baseline.
-
+// Test/bench hook. Production code routes through fft_inplace/rfft.
 // Chirp-z (Bluestein) transform at any length, including powers of two.
 // `reuse_scratch=false` reproduces the historical per-call-allocating work
 // buffer (the baseline for the scratch-hoist bench entry).
 void bluestein_inplace(std::vector<Complex>& a, bool inverse, bool reuse_scratch = true);
-
-// rfft evaluated through the full-length Bluestein transform — the
-// reference the power-of-two fast path is compared against.
-std::vector<Complex> rfft_bluestein(const std::vector<double>& x);
 
 }  // namespace detail
 

@@ -147,9 +147,16 @@ WireRequest decode_request(const std::vector<std::uint8_t>& payload) {
   if (request.steps <= 0 || request.channels <= 0 || request.height <= 0 || request.width <= 0) {
     throw ProtocolError("request shape must be positive");
   }
-  const std::size_t cells = static_cast<std::size_t>(request.channels) *
-                            static_cast<std::size_t>(request.height) *
-                            static_cast<std::size_t>(request.width);
+  // Three u32 factors can wrap a size_t product (2^31 * 2^31 * 4 == 0),
+  // which an empty context would then match: multiply with overflow
+  // checks and bound the shape by what one frame can carry.
+  std::size_t cells = 0;
+  if (__builtin_mul_overflow(static_cast<std::size_t>(request.channels),
+                             static_cast<std::size_t>(request.height), &cells) ||
+      __builtin_mul_overflow(cells, static_cast<std::size_t>(request.width), &cells) ||
+      cells > kMaxFrameBytes / sizeof(double)) {
+    throw ProtocolError("declared context shape exceeds the frame size limit");
+  }
   if (r.remaining() != cells * sizeof(double)) {
     throw ProtocolError("context size does not match declared shape");
   }

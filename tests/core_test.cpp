@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <ostream>
 
 #include "core/config.h"
 #include "core/discriminators.h"
@@ -18,7 +21,10 @@
 #include "data/dataset.h"
 #include "data/sampler.h"
 #include "dsp/fft.h"
+#include "dsp/spectrum.h"
 #include "nn/init.h"
+#include "nn/ops.h"
+#include "support/fft_bridge_reference.h"
 #include "util/error.h"
 
 namespace spectra::core {
@@ -254,6 +260,125 @@ TEST(LossesTest, MaskedTargetZeroesWeakBins) {
     }
   }
 }
+
+// --- tolerance oracle: truncated-DFT GEMMs vs the per-series FFT loops ---
+
+// One geometry of the oracle sweep and the max-abs error bound each use
+// of the truncated-DFT basis must hold against the FFT reference
+// (tests/support/fft_bridge_reference). Inputs are N(0, 1) spectra,
+// output gradients and traffic; `f_gen = base_steps/2 + 1` is the full
+// band, covering the DC and Nyquist edge bins.
+struct OracleCase {
+  long base_steps;
+  long expand_k;
+  long f_gen;
+  float forward_bound;   // irfft_bridge value
+  float backward_bound;  // irfft_bridge gradient
+  float spectrum_bound;  // batch_spectrum / masked_spectrum_target at T = k*base_steps
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << "T" << c.base_steps << "_k" << c.expand_k << "_f" << c.f_gen;
+}
+
+class DftOracleTest : public testing::TestWithParam<OracleCase> {};
+
+float max_abs_diff(const nn::Tensor& a, const nn::Tensor& b) {
+  EXPECT_EQ(a.shape(), b.shape());
+  float worst = 0.0f;
+  for (long i = 0; i < a.numel(); ++i) worst = std::max(worst, std::fabs(a[i] - b[i]));
+  return worst;
+}
+
+TEST_P(DftOracleTest, BridgeForwardAndBackwardMatchFftReference) {
+  const OracleCase c = GetParam();
+  const long t_out = c.expand_k * c.base_steps;
+  Rng rng(static_cast<std::uint64_t>(t_out * 100 + c.f_gen));
+  nn::Var leaf = nn::Var::leaf(nn::init::gaussian({2, 2 * c.f_gen, 3}, 1.0f, rng));
+  const nn::Tensor upstream = nn::init::gaussian({2, t_out, 3}, 1.0f, rng);
+  nn::Var out = irfft_bridge(leaf, c.base_steps, c.expand_k);
+  nn::sum(nn::mul(out, nn::Var::constant(upstream))).backward();
+
+  const float fwd_err =
+      max_abs_diff(out.value(), oracle::reference_bridge_forward(leaf.value(), c.base_steps,
+                                                                 c.expand_k));
+  const float bwd_err = max_abs_diff(
+      leaf.grad(), oracle::reference_bridge_backward(upstream, c.f_gen, c.base_steps, c.expand_k));
+  EXPECT_LE(fwd_err, c.forward_bound);
+  EXPECT_LE(bwd_err, c.backward_bound);
+  // im(DC) has an exactly zero gradient; so has im(Nyquist) when the band
+  // reaches it.
+  EXPECT_EQ(leaf.grad()[1 * 3], 0.0f);
+  if (2 * c.expand_k * (c.f_gen - 1) == t_out) {
+    EXPECT_EQ(leaf.grad()[(2 * (c.f_gen - 1) + 1) * 3], 0.0f);
+  }
+  std::printf("[oracle] T*k=%ld f_gen=%ld bridge fwd max-abs %.3g, bwd max-abs %.3g\n", t_out,
+              c.f_gen, static_cast<double>(fwd_err), static_cast<double>(bwd_err));
+}
+
+TEST_P(DftOracleTest, SpectrumTargetsMatchFftReference) {
+  const OracleCase c = GetParam();
+  // The targets see the k*base_steps series directly; a full-band case
+  // stays full band at that length.
+  const long T = c.expand_k * c.base_steps;
+  const long f_gen = c.f_gen == c.base_steps / 2 + 1 ? T / 2 + 1 : c.f_gen;
+  Rng rng(static_cast<std::uint64_t>(T * 100 + f_gen + 1));
+  const nn::Tensor traffic = nn::init::gaussian({2, T, 5}, 1.0f, rng);
+  const nn::Tensor plain = batch_spectrum(traffic, f_gen);
+  const nn::Tensor plain_ref = oracle::reference_batch_spectrum(traffic, f_gen);
+  const float spec_err = max_abs_diff(plain, plain_ref);
+  EXPECT_LE(spec_err, c.spectrum_bound);
+
+  // Masked target: kept bins agree within the bound; a mask bit may flip
+  // only where the bin's magnitude is within the bound of its series'
+  // quantile threshold.
+  const double q = 0.75;
+  const nn::Tensor masked = masked_spectrum_target(traffic, f_gen, q);
+  const nn::Tensor masked_ref = oracle::reference_masked_spectrum_target(traffic, f_gen, q);
+  const long P = traffic.dim(2);
+  long flips = 0;
+  for (long b = 0; b < traffic.dim(0); ++b) {
+    for (long p = 0; p < P; ++p) {
+      auto at = [&](long i) { return (b * 2 * f_gen + i) * P + p; };
+      std::vector<double> mags(static_cast<std::size_t>(f_gen));
+      for (long i = 0; i < f_gen; ++i) {
+        mags[static_cast<std::size_t>(i)] =
+            std::hypot(plain_ref[at(2 * i)], plain_ref[at(2 * i + 1)]);
+      }
+      const double threshold = dsp::quantile(mags, q);
+      for (long i = 0; i < f_gen; ++i) {
+        const bool kept = masked[at(2 * i)] != 0.0f || masked[at(2 * i + 1)] != 0.0f;
+        const bool kept_ref = masked_ref[at(2 * i)] != 0.0f || masked_ref[at(2 * i + 1)] != 0.0f;
+        if (kept != kept_ref) {
+          ++flips;
+          EXPECT_LE(std::fabs(mags[static_cast<std::size_t>(i)] - threshold), c.spectrum_bound)
+              << "mask bit flipped away from the threshold at b=" << b << " p=" << p
+              << " bin=" << i;
+        } else if (kept) {
+          EXPECT_LE(std::fabs(masked[at(2 * i)] - masked_ref[at(2 * i)]), c.spectrum_bound);
+          EXPECT_LE(std::fabs(masked[at(2 * i + 1)] - masked_ref[at(2 * i + 1)]), c.spectrum_bound);
+        }
+      }
+    }
+  }
+  std::printf("[oracle] T=%ld f_gen=%ld spectrum max-abs %.3g, mask flips %ld\n", T, f_gen,
+              static_cast<double>(spec_err), flips);
+}
+
+// Max-abs bounds per length, 3-8x the measured error (printed as
+// [oracle] lines): float accumulation error grows with the reduction
+// length and the output magnitude, so the bridge bounds grow with T*k.
+// Spectrum targets are normalized by 1/T and stay near float epsilon.
+INSTANTIATE_TEST_SUITE_P(
+    Lengths, DftOracleTest,
+    testing::Values(OracleCase{24, 1, 6, 5e-6f, 1e-5f, 5e-7f},
+                    OracleCase{24, 1, 13, 5e-6f, 1e-5f, 5e-7f},
+                    OracleCase{168, 1, 28, 1e-4f, 1e-4f, 5e-7f},
+                    OracleCase{168, 1, 85, 1e-4f, 1e-4f, 5e-7f},
+                    OracleCase{168, 2, 28, 1e-4f, 1.5e-4f, 5e-7f},
+                    OracleCase{168, 2, 85, 1e-4f, 1.5e-4f, 5e-7f},
+                    OracleCase{168, 3, 28, 1e-4f, 2e-4f, 5e-7f},
+                    OracleCase{168, 3, 85, 1e-4f, 2e-4f, 5e-7f}));
 
 TEST(SpectraGanTest, ParameterPartition) {
   SpectraGan model(tiny_config(), 11);

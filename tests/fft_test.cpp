@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "dsp/fft.h"
-#include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -132,62 +131,6 @@ TEST(IrfftTest, SizeValidation) {
   EXPECT_NO_THROW(irfft(spec, 9));
   EXPECT_THROW(irfft(spec, 12), spectra::Error);
   EXPECT_THROW(irfft(spec, 0), spectra::Error);
-}
-
-std::vector<double> random_real_signal(long n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (double& v : x) v = rng.uniform(-1, 1);
-  return x;
-}
-
-// The power-of-two half-spectrum fast path must agree with the
-// Bluestein-forced reference at every bin; non-pow2 lengths exercise the
-// fallback against the same reference.
-TEST(RfftFastPathTest, MatchesBluesteinReferenceAcrossLengths) {
-  for (long n : {2L, 4L, 8L, 64L, 256L, 512L, 1024L,  // pow2 fast path
-                 3L, 21L, 100L, 168L, 251L, 504L}) {  // fallback lengths
-    const std::vector<double> x = random_real_signal(n, static_cast<std::uint64_t>(n) + 17);
-    const std::vector<Complex> fast = rfft(x);
-    const std::vector<Complex> ref = detail::rfft_bluestein(x);
-    ASSERT_EQ(fast.size(), ref.size()) << "n=" << n;
-    const double tol = 1e-9 * static_cast<double>(n);
-    for (std::size_t k = 0; k < fast.size(); ++k) {
-      EXPECT_NEAR(fast[k].real(), ref[k].real(), tol) << "n=" << n << " k=" << k;
-      EXPECT_NEAR(fast[k].imag(), ref[k].imag(), tol) << "n=" << n << " k=" << k;
-    }
-  }
-}
-
-TEST(RfftFastPathTest, EdgeBinsAreExactlyReal) {
-  for (long n : {4L, 256L}) {
-    const std::vector<Complex> y = rfft(random_real_signal(n, 5));
-    EXPECT_EQ(y.front().imag(), 0.0);
-    EXPECT_EQ(y.back().imag(), 0.0);
-  }
-}
-
-TEST(RfftFastPathTest, RoundTripAtPowerOfTwoLengths) {
-  for (long n : {2L, 4L, 16L, 512L, 1024L}) {
-    const std::vector<double> x = random_real_signal(n, static_cast<std::uint64_t>(n) + 3);
-    const std::vector<double> back = irfft(rfft(x), n);
-    for (long i = 0; i < n; ++i) {
-      EXPECT_NEAR(back[static_cast<std::size_t>(i)], x[static_cast<std::size_t>(i)],
-                  1e-9 * static_cast<double>(n))
-          << "n=" << n;
-    }
-  }
-}
-
-TEST(RfftFastPathTest, CounterCountsFastCallsOnly) {
-  obs::Counter& calls = obs::Registry::instance().counter("fft.rfft_fast_calls");
-  const std::uint64_t before = calls.value();
-  const std::vector<double> pow2 = random_real_signal(64, 1);
-  (void)irfft(rfft(pow2), 64);  // both directions take the fast path
-  EXPECT_EQ(calls.value(), before + 2);
-  const std::vector<double> awkward = random_real_signal(168, 2);
-  (void)irfft(rfft(awkward), 168);  // fallback: counter untouched
-  EXPECT_EQ(calls.value(), before + 2);
 }
 
 // The scratch-reusing Bluestein must produce bitwise-identical output to

@@ -187,9 +187,9 @@ TEST(ParallelDeterminismTest, LinearBitwiseIdenticalAcrossThreadCountsAtEverySim
 }
 
 // Concurrent rfft/irfft calls from pool workers: the per-thread Bluestein
-// scratch and the shared rfft/Bluestein plan caches must not let results
-// depend on which worker ran which row. Mixes fast-path (64) and
-// fallback (168) lengths in one batch.
+// scratch and the shared Bluestein plan cache must not let results
+// depend on which worker ran which row. Mixes radix-2 (64) and Bluestein
+// (168) lengths in one batch.
 std::vector<std::vector<double>> run_rfft_batch(std::size_t threads) {
   ThreadsOverride guard(threads);
   std::vector<std::vector<double>> rows;
@@ -226,20 +226,44 @@ struct BridgeRun {
   nn::Tensor traffic, grad;
 };
 
-BridgeRun run_bridge(std::size_t threads) {
+BridgeRun run_bridge(std::size_t threads, long base_steps, long expand_k, long f_gen) {
   ThreadsOverride guard(threads);
   Rng rng(321);
-  nn::Var spectrum = nn::Var::leaf(nn::init::gaussian({3, 8, 6}, 1.0f, rng));
-  nn::Var traffic = core::irfft_bridge(spectrum, /*base_steps=*/24, /*expand_k=*/2);
+  nn::Var spectrum = nn::Var::leaf(nn::init::gaussian({3, 2 * f_gen, 6}, 1.0f, rng));
+  nn::Var traffic = core::irfft_bridge(spectrum, base_steps, expand_k);
   nn::sum(traffic).backward();
   return {traffic.value(), spectrum.grad()};
 }
 
 TEST(ParallelDeterminismTest, IrfftBridgeBitwiseIdenticalAcrossThreadCounts) {
-  const BridgeRun serial = run_bridge(1);
-  const BridgeRun parallel = run_bridge(8);
+  const BridgeRun serial = run_bridge(1, /*base_steps=*/24, /*expand_k=*/2, /*f_gen=*/4);
+  const BridgeRun parallel = run_bridge(8, /*base_steps=*/24, /*expand_k=*/2, /*f_gen=*/4);
   expect_bitwise_equal(serial.traffic, parallel.traffic, "irfft_bridge forward");
   expect_bitwise_equal(serial.grad, parallel.grad, "irfft_bridge backward");
+}
+
+// The bridge is a GEMM against a cached basis, so it inherits the GEMM
+// contract: at the k = 3 generation horizon (t_out = 504, the default 28
+// bins), 1 vs 8 threads are bitwise equal at every dispatch level, and
+// every level matches the generic one.
+TEST(ParallelDeterminismTest, IrfftBridgeExpandedBitwiseIdenticalAtEverySimdLevel) {
+  BridgeRun generic;
+  {
+    SimdOverride guard(nn::SimdLevel::kGeneric);
+    generic = run_bridge(1, /*base_steps=*/168, /*expand_k=*/3, /*f_gen=*/28);
+  }
+  for (const nn::SimdLevel level : {nn::SimdLevel::kGeneric, nn::SimdLevel::kAvx2,
+                                    nn::SimdLevel::kAvx512, nn::SimdLevel::kNeon}) {
+    if (!nn::simd_level_available(level)) continue;
+    SimdOverride guard(level);
+    const BridgeRun serial = run_bridge(1, /*base_steps=*/168, /*expand_k=*/3, /*f_gen=*/28);
+    const BridgeRun parallel = run_bridge(8, /*base_steps=*/168, /*expand_k=*/3, /*f_gen=*/28);
+    const char* name = nn::simd_level_name(level);
+    expect_bitwise_equal(serial.traffic, parallel.traffic, name);
+    expect_bitwise_equal(serial.grad, parallel.grad, name);
+    expect_bitwise_equal(generic.traffic, serial.traffic, name);
+    expect_bitwise_equal(generic.grad, serial.grad, name);
+  }
 }
 
 TEST(ParallelDeterminismTest, SpectrumTargetsBitwiseIdenticalAcrossThreadCounts) {

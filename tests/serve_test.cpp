@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -318,6 +319,32 @@ TEST(ServeProtocolTest, MalformedPayloadsThrowTyped) {
   EXPECT_THROW(decode_request(std::vector<std::uint8_t>{1, 2, 3}), ProtocolError);
   EXPECT_THROW(decode_row(good), ProtocolError);   // wrong frame type
   EXPECT_THROW(decode_done(good), ProtocolError);  // wrong frame type
+}
+
+// channels = 2^31, height = 2^31, width = 4 wraps a 64-bit cell count to
+// 0, which an empty context would match; the decoder must reject the
+// shape instead of handing it to the daemon.
+TEST(ServeProtocolTest, WrappingContextShapeRejected) {
+  WireRequest request;
+  request.steps = 4;
+  request.channels = 1;
+  request.height = 1;
+  request.width = 1;
+  request.context.assign(1, 0.5);
+  std::vector<std::uint8_t> frame = encode_request(request);
+  frame.resize(frame.size() - sizeof(double));  // empty context
+  // Shape fields follow type, version, id, seed and steps.
+  const std::size_t shape_at = 2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t) +
+                               sizeof(std::uint32_t);
+  const std::uint32_t shape[3] = {1u << 31, 1u << 31, 4u};
+  std::memcpy(frame.data() + shape_at, shape, sizeof shape);
+  EXPECT_THROW(decode_request(frame), ProtocolError);
+
+  // A shape that does not wrap but whose context could never fit in one
+  // frame is rejected the same way.
+  const std::uint32_t too_big[3] = {1u << 16, 1u << 16, 1u << 4};
+  std::memcpy(frame.data() + shape_at, too_big, sizeof too_big);
+  EXPECT_THROW(decode_request(frame), ProtocolError);
 }
 
 // --- daemon loop ------------------------------------------------------------
