@@ -28,6 +28,7 @@
 #include "nn/lstm.h"
 #include "nn/ops.h"
 #include "support/fft_bridge_reference.h"
+#include "support/lstm_reference.h"
 #include "util/env.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -148,98 +149,119 @@ KernelResult bench_conv_train_step(const std::string& name, long N, long C, long
   return r;
 }
 
-KernelResult bench_lstm_train_step(const std::string& name, long T, long B, long in, long hidden,
-                                   long out) {
-  Rng model_rng(13);
-  nn::Lstm lstm(in, hidden, out, model_rng, nn::Activation::kNone);
-  Rng rng(15);
-  std::vector<nn::Var> inputs;
-  for (long t = 0; t < T; ++t) {
-    inputs.push_back(nn::Var::constant(nn::init::gaussian({B, in}, 1.0f, rng)));
+// Shared setup of the LSTM rows: the G^t-shaped layer and a step-major
+// [T·B, in] input.
+struct LstmBench {
+  LstmBench(long T_, long B_, long in, long hidden, long out)
+      : T(T_), B(B_), model_rng(13), lstm(in, hidden, out, model_rng, nn::Activation::kNone) {
+    Rng rng(15);
+    inputs = nn::Var::constant(nn::init::gaussian({T * B, in}, 1.0f, rng));
   }
 
+  // Contraction flops of one forward: input projection, recurrent
+  // product and head, per step.
+  double forward_flops() const {
+    const nn::LSTMCell& cell = lstm.cell();
+    const long in = cell.input_size(), hidden = cell.hidden_size();
+    const long out = lstm.head().out_features();
+    return static_cast<double>(T) * 2.0 *
+           static_cast<double>(B * (in * 4 * hidden + hidden * 4 * hidden + hidden * out));
+  }
+
+  std::string shape(const char* mode) const {
+    return std::string(mode) + " T=" + std::to_string(T) + " B=" + std::to_string(B) +
+           " in=" + std::to_string(lstm.cell().input_size()) +
+           " H=" + std::to_string(lstm.cell().hidden_size()) +
+           " out=" + std::to_string(lstm.head().out_features());
+  }
+
+  void zero_params() const {
+    for (nn::Var& p : lstm.parameters()) p.zero_grad();
+  }
+
+  // The per-step path (tests/support oracle): one gate step and one head
+  // product per timestep, each step's output summed into the loss. With
+  // `batched_projection` false every step also projects its own input
+  // (the pre-batching path).
+  nn::Var per_step_loss(bool batched_projection) const {
+    const nn::LSTMCell& cell = lstm.cell();
+    nn::Var all_proj = batched_projection ? cell.project_input(inputs) : nn::Var();
+    nn::LstmState state{nn::Var::constant(nn::Tensor({B, cell.hidden_size()})),
+                        nn::Var::constant(nn::Tensor({B, cell.hidden_size()}))};
+    nn::Var loss;
+    for (long t = 0; t < T; ++t) {
+      nn::Var x_proj = batched_projection
+                           ? nn::slice_axis(all_proj, /*axis=*/0, t * B, B)
+                           : cell.project_input(nn::slice_axis(inputs, /*axis=*/0, t * B, B));
+      state = oracle::reference_lstm_step(x_proj, state, cell.weight_h(), cell.bias());
+      nn::Var step_loss = nn::sum(lstm.head().forward(state.h));
+      loss = loss.defined() ? nn::add(loss, step_loss) : step_loss;
+    }
+    return loss;
+  }
+
+  long T, B;
+  Rng model_rng;
+  nn::Lstm lstm;
+  nn::Var inputs;
+};
+
+// Full recurrent training step at G^t shape: the whole-sequence op
+// (batched projection, one sequence node, one head product, batched
+// weight gradients) against the per-step path with a per-step input
+// projection.
+KernelResult bench_lstm_train_step(const std::string& name, long T, long B, long in, long hidden,
+                                   long out) {
+  LstmBench lb(T, B, in, hidden, out);
   KernelResult r;
   r.name = name;
-  r.shape = "fwd+bwd T=" + std::to_string(T) + " B=" + std::to_string(B) +
-            " in=" + std::to_string(in) + " H=" + std::to_string(hidden) +
-            " out=" + std::to_string(out);
+  r.shape = lb.shape("fwd+bwd");
   // forward + backward ≈ 3× the forward contraction flops.
-  r.flops_per_call = 3.0 * static_cast<double>(T) * 2.0 *
-                     static_cast<double>(B * (in * 4 * hidden + hidden * 4 * hidden + hidden * out));
-  auto accumulate_loss = [](const std::vector<nn::Var>& outputs) {
-    nn::Var loss = nn::sum(outputs.front());
-    for (std::size_t t = 1; t < outputs.size(); ++t) loss = nn::add(loss, nn::sum(outputs[t]));
-    return loss;
-  };
-  auto zero_params = [&] {
-    for (nn::Var& p : lstm.parameters()) p.zero_grad();
-  };
-  // Reference: the pre-batching, pre-fusion training path — one input
-  // projection per step and the op-by-op gate composition. (`step()` now
-  // runs the fused kernel, so composing the reference from it would hide
-  // part of the win inside the baseline.)
+  r.flops_per_call = 3.0 * lb.forward_flops();
   r.seconds_ref = time_kernel([&] {
-    zero_params();
-    std::vector<nn::Var> outputs;
-    nn::LstmState state = lstm.cell().initial_state(B);
-    for (const nn::Var& x : inputs) {
-      state = lstm.cell().step_projected_unfused(lstm.cell().project_input(x), state);
-      outputs.push_back(lstm.head().forward(state.h));
-    }
-    accumulate_loss(outputs).backward();
+    lb.zero_params();
+    lb.per_step_loss(/*batched_projection=*/false).backward();
   });
   r.seconds_new = time_kernel([&] {
-    zero_params();
-    accumulate_loss(lstm.forward(inputs)).backward();
+    lb.zero_params();
+    nn::sum(lb.lstm.forward(lb.inputs, B)).backward();
   });
   return r;
 }
 
-// Fusion speedup in isolation: both arms use the batched [T·B, 4H] input
-// projection; only the per-step gate math differs (op-by-op composition
-// vs the fused two-node kernel).
+// The same with the batched [T·B, 4H] input projection on both arms, so
+// only the recurrence, head and weight gradients differ.
 KernelResult bench_lstm_fused_train(const std::string& name, long T, long B, long in, long hidden,
                                     long out) {
-  Rng model_rng(13);
-  nn::Lstm lstm(in, hidden, out, model_rng, nn::Activation::kNone);
-  Rng rng(15);
-  std::vector<nn::Var> inputs;
-  for (long t = 0; t < T; ++t) {
-    inputs.push_back(nn::Var::constant(nn::init::gaussian({B, in}, 1.0f, rng)));
-  }
-
+  LstmBench lb(T, B, in, hidden, out);
   KernelResult r;
   r.name = name;
-  r.shape = "fwd+bwd T=" + std::to_string(T) + " B=" + std::to_string(B) +
-            " in=" + std::to_string(in) + " H=" + std::to_string(hidden) +
-            " out=" + std::to_string(out);
-  r.flops_per_call = 3.0 * static_cast<double>(T) * 2.0 *
-                     static_cast<double>(B * (in * 4 * hidden + hidden * 4 * hidden + hidden * out));
-  auto accumulate_loss = [](const std::vector<nn::Var>& outputs) {
-    nn::Var loss = nn::sum(outputs.front());
-    for (std::size_t t = 1; t < outputs.size(); ++t) loss = nn::add(loss, nn::sum(outputs[t]));
-    return loss;
-  };
-  auto zero_params = [&] {
-    for (nn::Var& p : lstm.parameters()) p.zero_grad();
-  };
+  r.shape = lb.shape("fwd+bwd");
+  r.flops_per_call = 3.0 * lb.forward_flops();
   r.seconds_ref = time_kernel([&] {
-    zero_params();
-    nn::Var all = nn::concat_axis(inputs, /*axis=*/0);
-    nn::Var all_proj = lstm.cell().project_input(all);
-    nn::LstmState state = lstm.cell().initial_state(B);
-    std::vector<nn::Var> outputs;
-    for (long t = 0; t < T; ++t) {
-      nn::Var x_proj = nn::slice_axis(all_proj, /*axis=*/0, t * B, B);
-      state = lstm.cell().step_projected_unfused(x_proj, state);
-      outputs.push_back(lstm.head().forward(state.h));
-    }
-    accumulate_loss(outputs).backward();
+    lb.zero_params();
+    lb.per_step_loss(/*batched_projection=*/true).backward();
   });
   r.seconds_new = time_kernel([&] {
-    zero_params();
-    accumulate_loss(lstm.forward(inputs)).backward();
+    lb.zero_params();
+    nn::sum(lb.lstm.forward(lb.inputs, B)).backward();
   });
+  return r;
+}
+
+// Inference forward at the serve shape (G^t over T = 504 steps of a
+// 16-patch batch): the per-step oracle against the sequence op, both
+// under InferenceGuard.
+KernelResult bench_lstm_sequence_serve(const std::string& name, long T, long B, long in,
+                                       long hidden, long out) {
+  LstmBench lb(T, B, in, hidden, out);
+  KernelResult r;
+  r.name = name;
+  r.shape = lb.shape("fwd");
+  r.flops_per_call = lb.forward_flops();
+  nn::InferenceGuard no_grad;
+  r.seconds_ref = time_kernel([&] { oracle::reference_lstm_forward(lb.lstm, lb.inputs, B); });
+  r.seconds_new = time_kernel([&] { lb.lstm.forward(lb.inputs, B); });
   return r;
 }
 
@@ -338,10 +360,12 @@ int main() {
   results.push_back(bench_conv_forward("conv_fwd_encoder2_s2", 6, 24, 8, 8, 16, 3, 2, 1));
   results.push_back(bench_conv_forward("conv_fwd_spectrum_out", 6, 32, 4, 4, 56, 3, 1, 1));
   results.push_back(bench_conv_train_step("conv_train_encoder1", 6, 27, 8, 8, 24, 3, 1, 1));
-  // Full recurrent training step at G^t shape: batched+fused vs the
-  // per-step unfused path, plus the fusion win in isolation.
+  // Full recurrent training step at G^t shape: the sequence op vs the
+  // per-step path with per-step and with batched input projections, and
+  // the serve-shape inference forward.
   results.push_back(bench_lstm_train_step("lstm_train_gt", 168, 6, 28, 24, 16));
   results.push_back(bench_lstm_fused_train("lstm_fused_train", 168, 6, 28, 24, 16));
+  results.push_back(bench_lstm_sequence_serve("lstm_sequence_serve", 504, 16, 28, 24, 16));
   // The Fourier bridge at the serve shape, and the 168-length (hourly
   // week) Bluestein transform with hoisted scratch.
   results.push_back(bench_dft_bridge("dft_bridge_serve", 16, 28, 16, 168, 3));

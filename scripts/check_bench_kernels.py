@@ -11,7 +11,7 @@ reported as warnings only.
 
 A few kernels additionally carry *absolute* speedup floors, checked on
 the committed baseline itself: these encode PR acceptance criteria (the
-fused LSTM recurrence must hold >= 1.4x over the unfused composition,
+whole-sequence LSTM op must hold >= 1.4x over the per-step composition,
 the truncated-DFT Fourier bridge >= 10x over the per-series FFT bridge
 at the serve shape), so a regenerated baseline cannot quietly launder a
 regression into the new normal.

@@ -1,5 +1,6 @@
 #include "baselines/doppelganger.h"
 
+#include "core/discriminators.h"
 #include "core/time_generator.h"
 
 #include <limits>
@@ -34,12 +35,12 @@ Var DoppelGanger::condition(const Var& pixel_context, const Var& noise) const {
 }
 
 Var DoppelGanger::series_forward(const Var& cond, long steps) const {
-  // [steps][B,1] -> [B, steps].
-  const std::vector<Var> outputs =
-      gen_->forward(core::time_encoded_inputs(cond, steps, config_.steps_per_day,
-                                              /*include_week=*/false));
-  return nn::reshape(nn::transpose01(nn::stack0(outputs)),
-                     {cond.value().dim(0), steps});
+  const long batch = cond.value().dim(0);
+  const Var outputs = gen_->forward(
+      core::time_encoded_inputs(cond, steps, config_.steps_per_day, /*include_week=*/false),
+      batch);
+  // [steps·B, 1] -> [B, steps].
+  return nn::transpose01(nn::reshape(outputs, {steps, batch}));
 }
 
 Var DoppelGanger::amplitude_forward(const Var& pixel_context, const Var& amp_noise) const {
@@ -113,16 +114,10 @@ void DoppelGanger::fit(const data::CountryDataset& dataset,
   nn::Adam opt_d(d_params, config_.lr_discriminator, 0.5f, 0.999f);
 
   auto disc_logits = [&](const Var& series, const Var& cond_d) {
-    nn::LstmState state = disc_cell_->initial_state(series.value().dim(0));
-    Var logit_sum;
-    const long steps = series.value().dim(1);
-    for (long t = 0; t < steps; ++t) {
-      Var x_t = nn::slice_axis(series, 1, t, 1);  // [B,1]
-      state = disc_cell_->step(nn::concat_axis({x_t, cond_d}, 1), state);
-      Var logit = disc_head_->forward(state.h);
-      logit_sum = logit_sum.defined() ? nn::add(logit_sum, logit) : logit;
-    }
-    return nn::mul_scalar(logit_sum, 1.0f / static_cast<float>(steps));
+    // [B, steps] -> step-major [steps·B, 1].
+    const long batch = series.value().dim(0);
+    const Var x_steps = nn::reshape(nn::transpose01(series), {series.value().dim(1) * batch, 1});
+    return core::mean_step_logits(*disc_cell_, *disc_head_, x_steps, cond_d, batch);
   };
 
   for (long it = 0; it < config_.iterations; ++it) {

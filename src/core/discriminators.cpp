@@ -4,6 +4,17 @@
 
 namespace spectra::core {
 
+nn::Var mean_step_logits(const nn::LSTMCell& cell, const nn::Linear& head,
+                         const nn::Var& x_steps, const nn::Var& cond, long batch) {
+  SG_CHECK(x_steps.value().rank() == 2 && x_steps.value().dim(0) % batch == 0,
+           "mean_step_logits expects step-major [T·B, D] steps");
+  const long steps = x_steps.value().dim(0) / batch;
+  nn::Var inputs = nn::concat_axis({x_steps, nn::tile0(cond, steps)}, /*axis=*/1);
+  nn::Var logits = head.forward(cell.forward(inputs, batch));  // [T·B, 1]
+  nn::Var logit_sum = nn::sum_axis0(nn::reshape(logits, {steps, batch, 1}));
+  return nn::mul_scalar(logit_sum, 1.0f / static_cast<float>(steps));
+}
+
 SpectrumDiscriminator::SpectrumDiscriminator(const SpectraGanConfig& config, Rng& rng)
     : spectrum_size_(2 * config.spectrum_bins * config.patch.traffic_h * config.patch.traffic_w),
       hidden_size_(config.hidden_channels * config.patch.traffic_h * config.patch.traffic_w),
@@ -40,19 +51,12 @@ nn::Var TimeDiscriminator::forward(const nn::Var& traffic, const nn::Var& hidden
   nn::Var cond =
       nn::vtanh(condition_.forward(nn::reshape(hidden, {batch, cond_input_})));
 
-  nn::LstmState state = cell_.initial_state(batch);
-  nn::Var logit_sum;
-  long counted = 0;
   // Critiquing every stride_-th step keeps the full temporal span in view
-  // at a fraction of the recurrent cost.
-  for (long t = 0; t < steps; t += stride_) {
-    nn::Var x_t = nn::reshape(nn::slice_axis(traffic, /*axis=*/1, t, 1), {batch, pixels_});
-    state = cell_.step(nn::concat_axis({x_t, cond}, /*axis=*/1), state);
-    nn::Var logit_t = head_.forward(state.h);
-    logit_sum = logit_sum.defined() ? nn::add(logit_sum, logit_t) : logit_t;
-    ++counted;
-  }
-  return nn::mul_scalar(logit_sum, 1.0f / static_cast<float>(counted));
+  // at a fraction of the recurrent cost. [B, T, P] -> step-major [T'·B, P].
+  const long counted = (steps + stride_ - 1) / stride_;
+  nn::Var strided = nn::slice_axis(traffic, /*axis=*/1, 0, counted, stride_);
+  nn::Var x_steps = nn::reshape(nn::transpose01(strided), {counted * batch, pixels_});
+  return mean_step_logits(cell_, head_, x_steps, cond, batch);
 }
 
 }  // namespace spectra::core

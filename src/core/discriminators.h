@@ -13,6 +13,14 @@
 
 namespace spectra::core {
 
+// Recurrent critic over a step-major sequence: runs `cell` over the rows
+// [x_t, cond] (x_steps is [T·B, D], cond is [B, C], so the cell input is
+// D + C wide), applies `head` (out 1) to every hidden state as one
+// product, and returns the mean over steps of the per-step logits, [B, 1],
+// summed in t-ascending order. Shared by R^t and DoppelGANger's critic.
+nn::Var mean_step_logits(const nn::LSTMCell& cell, const nn::Linear& head,
+                         const nn::Var& x_steps, const nn::Var& cond, long batch);
+
 class SpectrumDiscriminator : public nn::Module {
  public:
   SpectrumDiscriminator(const SpectraGanConfig& config, Rng& rng);
@@ -33,6 +41,11 @@ class TimeDiscriminator : public nn::Module {
   // traffic: [B, T, P]; hidden: [B, C_h, Ht, Wt]. Returns logits [B, 1]
   // (mean of per-step critic outputs).
   nn::Var forward(const nn::Var& traffic, const nn::Var& hidden) const;
+
+  const nn::Linear& condition() const { return condition_; }
+  const nn::LSTMCell& cell() const { return cell_; }
+  const nn::Linear& head() const { return head_; }
+  long stride() const { return stride_; }
 
  private:
   long pixels_;

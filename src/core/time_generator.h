@@ -11,8 +11,9 @@
 
 namespace spectra::core {
 
-// Per-step inputs for conditioned recurrent generation: each step's input
-// is [cond, sin/cos(2 pi t / day), sin/cos(2 pi t / week)]. The explicit
+// Step-major inputs for conditioned recurrent generation: row t·B + b is
+// [cond_b, sin/cos(2 pi t / day), sin/cos(2 pi t / week)], so the
+// result is [steps·B, cond + kTimeFeatures]. The explicit
 // clock mirrors DoppelGANger's batched-step conditioning and lets the
 // recurrent generators lock onto circadian phase in few iterations;
 // periodicity *content* still has to be learned.
@@ -20,8 +21,8 @@ namespace spectra::core {
 // RNN-only baselines, whose inability to track long-horizon structure is
 // precisely the weakness SpectraGAN's spectrum branch addresses (§2.1.1);
 // handing them the weekly clock would erase the effect under study.
-std::vector<nn::Var> time_encoded_inputs(const nn::Var& cond, long steps, long steps_per_day,
-                                         bool include_week = true);
+nn::Var time_encoded_inputs(const nn::Var& cond, long steps, long steps_per_day,
+                            bool include_week = true);
 
 // Number of time-encoding features appended per step.
 inline constexpr long kTimeFeatures = 4;
@@ -33,6 +34,10 @@ class TimeGenerator : public nn::Module {
   // hidden: [B, C_h, Ht, Wt]; noise: [B, Z, Ht, Wt].
   // Returns the residual traffic [B, steps, P] with P = Ht*Wt.
   nn::Var forward(const nn::Var& hidden, const nn::Var& noise, long steps) const;
+
+  const nn::Linear& condition() const { return condition_; }
+  const nn::Lstm& lstm() const { return lstm_; }
+  long steps_per_day() const { return steps_per_day_; }
 
  private:
   long pixels_;         // P

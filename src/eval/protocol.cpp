@@ -1,6 +1,8 @@
 #include "eval/protocol.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +14,7 @@
 #include "metrics/tstr.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/run_manifest.h"
 #include "obs/trace.h"
 #include "util/env.h"
 #include "util/error.h"
@@ -83,13 +86,59 @@ std::string sanitize(const std::string& s) {
 
 std::string cache_path(const std::string& cache_dir, const std::string& model,
                        const data::CountryDataset& dataset, const data::City& city,
-                       const EvalConfig& config, const core::SpectraGanConfig& base_config) {
+                       const EvalConfig& config, const core::SpectraGanConfig& base_config,
+                       const std::string& code_identity) {
   return cache_dir + "/" + sanitize(dataset.name) + "_" + sanitize(city.name) + "_" +
          sanitize(model) + "_t" + std::to_string(config.generate_steps) + "_it" +
-         std::to_string(base_config.iterations) + "_s" + std::to_string(config.seed) + ".sgt";
+         std::to_string(base_config.iterations) + "_s" + std::to_string(config.seed) + "_c" +
+         config_digest(base_config) + "_g" + code_identity + ".sgt";
 }
 
 }  // namespace
+
+std::string config_digest(const core::SpectraGanConfig& config) {
+  // Every field in declaration order; floats as bit patterns.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_long = [&mix](long value) { mix(static_cast<std::uint64_t>(value)); };
+  const auto mix_float = [&mix](float value) { mix(std::bit_cast<std::uint32_t>(value)); };
+  const geo::PatchSpec& p = config.patch;
+  for (long v : {p.traffic_h, p.traffic_w, p.context_h, p.context_w, p.stride,
+                 config.context_channels, config.train_steps, config.steps_per_day,
+                 config.hidden_channels, config.encoder_mid_channels, config.noise_channels,
+                 config.spectrum_bins, config.spectrum_mid_channels, config.lstm_hidden,
+                 config.cond_dim, config.disc_mlp_hidden, config.disc_time_stride}) {
+    mix_long(v);
+  }
+  mix_float(config.lambda_l1);
+  mix_float(config.mask_quantile);
+  for (bool v : {config.use_spectrum_generator, config.use_time_generator,
+                 config.extra_time_generator}) {
+    mix(v ? 1 : 0);
+  }
+  mix_long(config.iterations);
+  mix_long(config.batch);
+  mix_float(config.lr_generator);
+  mix_float(config.lr_discriminator);
+  mix_float(config.grad_clip);
+  mix(config.seed);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(hash));
+  return hex;
+}
+
+std::string cache_code_identity(const std::string& git_sha) {
+  const std::string dirty = "-dirty";
+  const bool is_dirty = git_sha.size() >= dirty.size() &&
+                        git_sha.compare(git_sha.size() - dirty.size(), dirty.size(), dirty) == 0;
+  if (git_sha.empty() || git_sha == "unknown" || is_dirty) return "";
+  return git_sha;
+}
 
 void save_city_tensor(const std::string& path, const geo::CityTensor& tensor) {
   std::ofstream out(path, std::ios::binary);
@@ -132,9 +181,14 @@ geo::CityTensor generate_for_fold(const std::string& model_name,
   const data::City& target = dataset.cities.at(fold.test_index);
 
   std::string path;
-  if (!config.cache_dir.empty()) {
+  const std::string code_identity = cache_code_identity(obs::build_git_sha());
+  if (!config.cache_dir.empty() && code_identity.empty()) {
+    SG_LOG_INFO << "generation cache skipped: build " << obs::build_git_sha()
+                << " is not a clean commit";
+  } else if (!config.cache_dir.empty()) {
     std::filesystem::create_directories(config.cache_dir);
-    path = cache_path(config.cache_dir, model_name, dataset, target, config, base_config);
+    path = cache_path(config.cache_dir, model_name, dataset, target, config, base_config,
+                      code_identity);
     if (std::optional<geo::CityTensor> cached = load_city_tensor(path)) {
       cache_hits.inc();
       SG_LOG_INFO << "cache hit: " << path;

@@ -64,6 +64,17 @@ geo::CityTensor generate_for_fold(const std::string& model_name,
 // Tables 2-5).
 std::vector<MetricRow> average_by_method(const std::vector<MetricRow>& rows);
 
+// Hex FNV-1a digest of every SpectraGanConfig field (the patch geometry
+// included): part of the generation cache key, so a config change never
+// reads another config's cached output.
+std::string config_digest(const core::SpectraGanConfig& config);
+
+// The code-identity part of the generation cache key for a build of
+// `git_sha` (obs::build_git_sha()): the SHA itself, or "" when it is
+// "unknown" or marks a dirty tree. Such builds neither read nor write the
+// cache, since nothing tells their output apart from another tree's.
+std::string cache_code_identity(const std::string& git_sha);
+
 // Binary CityTensor (de)serialization used by the cache and by examples.
 void save_city_tensor(const std::string& path, const geo::CityTensor& tensor);
 std::optional<geo::CityTensor> load_city_tensor(const std::string& path);

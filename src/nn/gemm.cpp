@@ -112,6 +112,42 @@ const detail::MicroKernelSet& active_kernel_set() {
   return *detail::kernels_generic();
 }
 
+// One packed (kc × nc) block of op(B) against the matching k-slice of
+// op(A), landing in C's nc-column slice (c points at its first column).
+struct Block {
+  Trans ta;
+  long m;
+  const float* a;
+  long lda;
+  long pc;
+  long kc;
+  const float* bp;
+  long nc;
+  float* c;
+  long ldc;
+  bool add_to_c;
+};
+
+// Row panels [rp_begin, rp_end) of one block. sgemm splits the panels
+// over threads; PackedB::multiply runs them all on the calling thread.
+// Either way each C element sees the same micro-kernel and p order.
+void multiply_block(const detail::MicroKernelSet& ks, const Block& blk, long rp_begin,
+                    long rp_end) {
+  const long a_row_stride = blk.ta == Trans::kNo ? blk.lda : 1;
+  const long a_col_stride = blk.ta == Trans::kNo ? 1 : blk.lda;
+  for (long rp = rp_begin; rp < rp_end; ++rp) {
+    const long i0 = rp * ks.mr;
+    const long mr = std::min(ks.mr, blk.m - i0);
+    const float* abase = blk.ta == Trans::kNo ? blk.a + i0 * blk.lda + blk.pc
+                                              : blk.a + blk.pc * blk.lda + i0;
+    const detail::MicroFn kernel = ks.fns[mr - 1];
+    for (long j0 = 0, jp = 0; j0 < blk.nc; j0 += ks.nr, ++jp) {
+      kernel(blk.kc, abase, a_row_stride, a_col_stride, blk.bp + jp * blk.kc * ks.nr,
+             blk.c + i0 * blk.ldc + j0, blk.ldc, std::min(ks.nr, blk.nc - j0), blk.add_to_c);
+    }
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -190,17 +226,14 @@ void sgemm(Trans ta, Trans tb, long m, long n, long k, const float* a, long lda,
             4.0);
   }
 
-  const long a_row_stride = ta == Trans::kNo ? lda : 1;
-  const long a_col_stride = ta == Trans::kNo ? 1 : lda;
-
   // The register tile of the active SIMD level. Within a level the tile
   // is fixed, the k loop stays serial, and threads still split only M —
   // so results are bitwise identical for any thread count, and (because
   // every level accumulates each C element in the same p-ascending
   // order, gemm_micro.h) across dispatch levels too.
   const detail::MicroKernelSet& ks = active_kernel_set();
-  const long mr_tile = ks.mr;
   const long nr_tile = ks.nr;
+  const long row_panels = (m + ks.mr - 1) / ks.mr;
 
   for (long jc = 0; jc < n; jc += kNC) {
     const long nc = std::min(kNC, n - jc);
@@ -211,28 +244,53 @@ void sgemm(Trans ta, Trans tb, long m, long n, long k, const float* a, long lda,
       // all read it, so it is packed once on the calling thread.
       float* bp = scratch(0, static_cast<std::size_t>(panels * kc * nr_tile));
       pack_b(tb, b, ldb, pc, jc, kc, nc, nr_tile, bp);
-
-      const bool add_to_c = accumulate || pc > 0;
-      const long row_panels = (m + mr_tile - 1) / mr_tile;
+      const Block block{ta, m, a, lda, pc, kc, bp, nc, c + jc, ldc, accumulate || pc > 0};
       // Threads split only the M dimension; each row panel owns its C
       // rows and runs the identical instruction sequence regardless of
       // which thread executes it — bitwise deterministic.
       parallel_for(static_cast<std::size_t>(row_panels), /*grain=*/1,
                    [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t rp = begin; rp < end; ++rp) {
-                       const long i0 = static_cast<long>(rp) * mr_tile;
-                       const long mr = std::min(mr_tile, m - i0);
-                       const float* abase = ta == Trans::kNo ? a + i0 * lda + pc
-                                                             : a + pc * lda + i0;
-                       const detail::MicroFn kernel = ks.fns[mr - 1];
-                       for (long jp = 0; jp < panels; ++jp) {
-                         const long j0 = jp * nr_tile;
-                         const long nr = std::min(nr_tile, nc - j0);
-                         kernel(kc, abase, a_row_stride, a_col_stride, bp + jp * kc * nr_tile,
-                                c + i0 * ldc + jc + j0, ldc, nr, add_to_c);
-                       }
-                     }
+                     multiply_block(ks, block, static_cast<long>(begin), static_cast<long>(end));
                    });
+    }
+  }
+}
+
+PackedB::PackedB(Trans tb, long k, long n, const float* b, long ldb)
+    : ks_(&active_kernel_set()), k_(k), n_(n) {
+  SG_CHECK(k > 0 && n > 0, "PackedB requires positive extents");
+  const long nr_tile = ks_->nr;
+  std::size_t total = 0;
+  for (long jc = 0; jc < n; jc += kNC) {
+    const long panels = (std::min(kNC, n - jc) + nr_tile - 1) / nr_tile;
+    total += static_cast<std::size_t>(panels * k * nr_tile);
+  }
+  panels_.resize(total);
+  float* dst = panels_.data();
+  for (long jc = 0; jc < n; jc += kNC) {
+    const long nc = std::min(kNC, n - jc);
+    const long panels = (nc + nr_tile - 1) / nr_tile;
+    for (long pc = 0; pc < k; pc += kKC) {
+      const long kc = std::min(kKC, k - pc);
+      pack_b(tb, b, ldb, pc, jc, kc, nc, nr_tile, dst);
+      dst += panels * kc * nr_tile;
+    }
+  }
+}
+
+void PackedB::multiply(Trans ta, long m, const float* a, long lda, float* c, long ldc,
+                       bool accumulate) const {
+  const long nr_tile = ks_->nr;
+  const long row_panels = (m + ks_->mr - 1) / ks_->mr;
+  const float* bp = panels_.data();
+  for (long jc = 0; jc < n_; jc += kNC) {
+    const long nc = std::min(kNC, n_ - jc);
+    const long panels = (nc + nr_tile - 1) / nr_tile;
+    for (long pc = 0; pc < k_; pc += kKC) {
+      const long kc = std::min(kKC, k_ - pc);
+      multiply_block(*ks_, Block{ta, m, a, lda, pc, kc, bp, nc, c + jc, ldc, accumulate || pc > 0},
+                     0, row_panels);
+      bp += panels * kc * nr_tile;
     }
   }
 }

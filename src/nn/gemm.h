@@ -29,6 +29,10 @@
 
 namespace spectra::nn::gemm {
 
+namespace detail {
+struct MicroKernelSet;
+}  // namespace detail
+
 enum class Trans { kNo, kTrans };
 
 // Blocking parameters (exposed for tests and the bench):
@@ -50,12 +54,34 @@ inline constexpr long kNC = 256;
 void sgemm(Trans ta, Trans tb, long m, long n, long k, const float* a, long lda, const float* b,
            long ldb, float* c, long ldc, bool accumulate);
 
+// op(B) (k×n) packed once into the active dispatch level's column
+// panels, for callers that multiply many small A operands by the same B:
+// the LSTM recurrence packs W_hh once per sequence instead of once per
+// step. multiply() runs the same blocking, packing and micro-kernel as
+// sgemm, so its C is bitwise equal to sgemm's for the same operands, but
+// it runs serially on the calling thread with no per-call dispatch,
+// parallel_for, `gemm.calls` count or profile scope. The dispatch level
+// is captured at construction.
+class PackedB {
+ public:
+  PackedB(Trans tb, long k, long n, const float* b, long ldb);
+
+  // C (m×n, ldc) = op(A)·op(B), accumulating into C when `accumulate`.
+  // op(A) is m×k: A is m×k (lda) when ta == kNo, k×m (lda) when kTrans.
+  void multiply(Trans ta, long m, const float* a, long lda, float* c, long ldc,
+                bool accumulate) const;
+
+ private:
+  const detail::MicroKernelSet* ks_;
+  long k_;
+  long n_;
+  std::vector<float> panels_;  // (jc, pc) blocks in sgemm's loop order
+};
+
 // Arena slots per workspace: slot 0 is reserved for sgemm's packed-B
 // panels; conv2d lowering uses slots 1 (im2col columns) and 2 (backward
-// dcol); the fused LSTM recurrence uses slot 3 for its [B,4H] gate
-// pre-activations (forward) and gate gradients (backward) — disjoint
-// from slot 0, which its nested sgemm calls consume.
-inline constexpr int kScratchSlots = 4;
+// dcol).
+inline constexpr int kScratchSlots = 3;
 
 // A set of monotonically-growing scratch arenas. One thread-local
 // instance backs `scratch` by default; the serve layer keeps a pool of

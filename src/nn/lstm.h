@@ -1,6 +1,10 @@
 // Recurrent layers: LSTMCell/LSTM (batched, as used by the SpectraGAN
 // residual time-series generator and time discriminator, §2.2.2–2.2.3)
 // and ConvLSTMCell (for the Conv{3D+LSTM} baseline, §3.3).
+//
+// Sequences are step-major matrices: a [T·B, D] tensor holds step t of
+// batch row b at row t·B + b, so a whole sequence's input projection,
+// output head and weight gradients are each one GEMM over all T·B rows.
 
 #pragma once
 
@@ -11,7 +15,22 @@
 
 namespace spectra::nn {
 
-// Hidden/cell state pair threaded through recurrent steps.
+// Whole-sequence LSTM recurrence from the zero state, as one autograd
+// node (DESIGN §6c). x_proj is the input projection x·W_ih of every
+// step, [T·B, 4H] step-major with gate columns i|f|g|o; weight_h is
+// [H, 4H]; bias is [4H]. Per step
+//   gates = (x_proj_t + h_{t-1}·W_hh) + b,  i,f,o = σ, g = tanh,
+//   c_t = f⊙c_{t-1} + i⊙g,  h_t = o⊙tanh(c_t),
+// and the result stacks every h_t as [T·B, H]. The forward pass packs
+// W_hh once and is bitwise equal to composing the per-step ops. The
+// backward pass runs the reverse recurrence for dh/dc only, then forms
+// dW_hh, db and dx_proj as one product or reduction each over all T·B
+// rows, so only those weight gradients differ from the per-step
+// composition in summation order. Under InferenceGuard nothing is saved
+// for backward.
+Var lstm_sequence(const Var& x_proj, const Var& weight_h, const Var& bias, long batch);
+
+// Hidden/cell state pair threaded through ConvLSTM steps.
 struct LstmState {
   Var h;
   Var c;
@@ -23,32 +42,17 @@ class LSTMCell : public Module {
  public:
   LSTMCell(long input_size, long hidden_size, Rng& rng);
 
-  // Zero state for batch size B (constants; no gradient).
-  LstmState initial_state(long batch) const;
-
-  // One step: x is [B, input_size]; returns the new state.
-  LstmState step(const Var& x, const LstmState& state) const;
-
-  // Input projection x·Wx as one GEMM. `x` may batch several timesteps
-  // as [T·B, input_size]; slice the result per step and feed it to
-  // step_projected. Lstm::forward uses this to turn T small per-step
-  // matmuls into a single [T·B, 4H] product.
+  // Input projection x·Wx as one GEMM over [*, input_size] rows.
   Var project_input(const Var& x) const;
 
-  // One step from a precomputed input projection ([B, 4*hidden]). Runs
-  // the fused gate kernel (ops.h lstm_fused_step): one autograd node
-  // pair per step instead of the ~12-node op composition.
-  LstmState step_projected(const Var& x_proj, const LstmState& state) const;
-
-  // The pre-fusion op-by-op composition (add_rowvec/slice/sigmoid/tanh/
-  // mul chains). Kept as the reference the fused kernel is tested
-  // bitwise against, and as the honest baseline for bench_kernels'
-  // lstm speedup entries. Produces identical values and gradients to
-  // step_projected, just slower.
-  LstmState step_projected_unfused(const Var& x_proj, const LstmState& state) const;
+  // Run a whole step-major sequence x [T·B, input_size] from the zero
+  // state; returns every hidden state as [T·B, hidden_size].
+  Var forward(const Var& x, long batch) const;
 
   long input_size() const { return input_size_; }
   long hidden_size() const { return hidden_size_; }
+  const Var& weight_h() const { return weight_h_; }
+  const Var& bias() const { return bias_; }
 
  private:
   long input_size_;
@@ -58,24 +62,29 @@ class LSTMCell : public Module {
   Var bias_;      // [4*hidden] (forget-gate slice initialized to 1)
 };
 
-// Multi-step LSTM with a per-step linear head. Consumes a sequence of
-// [B, input] vars and emits a sequence of [B, output] vars.
+// Multi-step LSTM with a per-step linear head, applied to all steps as
+// one [T·B, hidden]·[hidden, output] product.
 class Lstm : public Module {
  public:
   Lstm(long input_size, long hidden_size, long output_size, Rng& rng,
        Activation output_activation = Activation::kNone);
 
-  // Run over `inputs` (each [B, input]); returns per-step outputs.
-  std::vector<Var> forward(const std::vector<Var>& inputs) const;
+  // Run over the step-major sequence `inputs` [T·B, input]; returns the
+  // per-step outputs as [T·B, output].
+  Var forward(const Var& inputs, long batch) const;
 
-  // Run `steps` iterations feeding the same input every step (used when
-  // conditioning on a static context embedding).
-  std::vector<Var> forward_repeat(const Var& input, long steps) const;
+  // Run `steps` iterations feeding the same input [B, input] every step
+  // (used when conditioning on a static context embedding); returns
+  // [steps·B, output].
+  Var forward_repeat(const Var& input, long steps) const;
 
   const LSTMCell& cell() const { return cell_; }
   const Linear& head() const { return head_; }
+  Activation output_activation() const { return output_activation_; }
 
  private:
+  Var head_outputs(const Var& hidden) const;
+
   LSTMCell cell_;
   Linear head_;
   Activation output_activation_;

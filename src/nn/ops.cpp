@@ -141,15 +141,7 @@ Var vtanh(const Var& a) {
 Var sigmoid(const Var& a) {
   return unary_op(
       a,
-      [](float x) {
-        // Stable logistic for both signs of x.
-        if (x >= 0.0f) {
-          const float e = std::exp(-x);
-          return 1.0f / (1.0f + e);
-        }
-        const float e = std::exp(x);
-        return e / (1.0f + e);
-      },
+      [](float x) { return detail::stable_sigmoid(x); },
       [](float, float y) { return y * (1.0f - y); });
 }
 
@@ -237,30 +229,42 @@ AxisSplit split_at_axis(const Shape& shape, int axis) {
 
 }  // namespace
 
-Var slice_axis(const Var& a, int axis, long start, long len) {
+Var slice_axis(const Var& a, int axis, long start, long len, long step) {
   const Tensor& x = a.value();
   const AxisSplit split = split_at_axis(x.shape(), axis);
-  SG_CHECK(start >= 0 && len > 0 && start + len <= split.extent, "slice_axis bounds out of range");
+  SG_CHECK(start >= 0 && len > 0 && step > 0 && start + (len - 1) * step < split.extent,
+           "slice_axis bounds out of range");
 
   Shape out_shape = x.shape();
   out_shape[static_cast<std::size_t>(axis)] = len;
   Tensor y(out_shape);
+  // Run i of outer block o starts at input index start + i·step; with
+  // step 1 the whole outer block is one contiguous run.
+  const long inner = split.inner;
+  const long run = step == 1 ? len * inner : inner;
+  const long runs = step == 1 ? 1 : len;
+  const auto src_offset = [split, start, step, inner](long o, long i) {
+    return (o * split.extent + start + i * step) * inner;
+  };
   for (long o = 0; o < split.outer; ++o) {
-    const float* src = x.data() + (o * split.extent + start) * split.inner;
-    float* dst = y.data() + o * len * split.inner;
-    std::copy(src, src + len * split.inner, dst);
+    for (long i = 0; i < runs; ++i) {
+      const float* src = x.data() + src_offset(o, i);
+      std::copy(src, src + run, y.data() + o * len * inner + i * run);
+    }
   }
-  return Var::make_op(std::move(y), {a},
-                      [split, start, len](const Tensor& g, std::vector<Var>& parents) {
-                        if (!parents[0].requires_grad()) return;
-                        Tensor& ga = parents[0].grad_storage();
-                        for (long o = 0; o < split.outer; ++o) {
-                          const float* src = g.data() + o * len * split.inner;
-                          float* dst = ga.data() + (o * split.extent + start) * split.inner;
-                          const long block = len * split.inner;
-                          for (long i = 0; i < block; ++i) dst[i] += src[i];
-                        }
-                      });
+  return Var::make_op(
+      std::move(y), {a},
+      [split, len, inner, run, runs, src_offset](const Tensor& g, std::vector<Var>& parents) {
+        if (!parents[0].requires_grad()) return;
+        Tensor& ga = parents[0].grad_storage();
+        for (long o = 0; o < split.outer; ++o) {
+          for (long i = 0; i < runs; ++i) {
+            const float* src = g.data() + o * len * inner + i * run;
+            float* dst = ga.data() + src_offset(o, i);
+            for (long e = 0; e < run; ++e) dst[e] += src[e];
+          }
+        }
+      });
 }
 
 Var slice_cols(const Var& a, long start, long len) {
@@ -299,6 +303,46 @@ Var stack0(const std::vector<Var>& parts) {
                           for (long i = 0; i < part_numel; ++i) gp[i] += src[i];
                         }
                       });
+}
+
+Var tile0(const Var& a, long times) {
+  const Tensor& x = a.value();
+  SG_CHECK(x.rank() >= 1 && times > 0, "tile0 requires rank >= 1 and times > 0");
+  Shape out_shape = x.shape();
+  out_shape[0] *= times;
+  const long part = x.numel();
+  Tensor y(out_shape);
+  for (long k = 0; k < times; ++k) std::copy(x.data(), x.data() + part, y.data() + k * part);
+  return Var::make_op(std::move(y), {a}, [times, part](const Tensor& g, std::vector<Var>& parents) {
+    if (!parents[0].requires_grad()) return;
+    Tensor& ga = parents[0].grad_storage();
+    for (long k = 0; k < times; ++k) {
+      const float* src = g.data() + k * part;
+      for (long i = 0; i < part; ++i) ga[i] += src[i];
+    }
+  });
+}
+
+Var sum_axis0(const Var& a) {
+  const Tensor& x = a.value();
+  SG_CHECK(x.rank() >= 2, "sum_axis0 requires rank >= 2");
+  const long rows = x.dim(0);
+  const long part = x.numel() / rows;
+  Tensor y(Shape(x.shape().begin() + 1, x.shape().end()));
+  // ((x_0 + x_1) + x_2) + ...: the order of a chain of add() calls.
+  std::copy(x.data(), x.data() + part, y.data());
+  for (long k = 1; k < rows; ++k) {
+    const float* src = x.data() + k * part;
+    for (long i = 0; i < part; ++i) y[i] += src[i];
+  }
+  return Var::make_op(std::move(y), {a}, [rows, part](const Tensor& g, std::vector<Var>& parents) {
+    if (!parents[0].requires_grad()) return;
+    Tensor& ga = parents[0].grad_storage();
+    for (long k = 0; k < rows; ++k) {
+      float* dst = ga.data() + k * part;
+      for (long i = 0; i < part; ++i) dst[i] += g[i];
+    }
+  });
 }
 
 Var concat_axis(const std::vector<Var>& parts, int axis) {
@@ -448,190 +492,6 @@ Var add_rowvec(const Var& a, const Var& bias) {
 
 Var linear(const Var& x, const Var& weight, const Var& bias) {
   return add_rowvec(matmul(x, weight), bias);
-}
-
-namespace {
-
-// Stable logistic — the exact expression sigmoid() uses; the fused LSTM
-// kernel must match the unfused op bitwise.
-inline float stable_sigmoid(float x) {
-  if (x >= 0.0f) {
-    const float e = std::exp(-x);
-    return 1.0f / (1.0f + e);
-  }
-  const float e = std::exp(x);
-  return e / (1.0f + e);
-}
-
-// Scratch slot the fused LSTM borrows from the GEMM workspace (gemm.h):
-// [B,4H] gate pre-activations on the forward pass, [B,4H] gate
-// gradients on the backward pass. Disjoint from slot 0, which the
-// nested sgemm calls consume while the slot-3 contents are live.
-constexpr int kLstmScratchSlot = 3;
-
-}  // namespace
-
-std::pair<Var, Var> lstm_fused_step(const Var& x_proj, const Var& h_prev, const Var& c_prev,
-                                    const Var& weight_h, const Var& bias) {
-  const Tensor& xp = x_proj.value();
-  const Tensor& hp = h_prev.value();
-  const Tensor& cpv = c_prev.value();
-  const Tensor& wh = weight_h.value();
-  const Tensor& bv = bias.value();
-  SG_CHECK(xp.rank() == 2 && hp.rank() == 2 && cpv.rank() == 2,
-           "lstm_fused_step expects rank-2 x_proj/h_prev/c_prev");
-  const long batch = xp.dim(0);
-  const long hidden = hp.dim(1);
-  const long gates = 4 * hidden;
-  SG_CHECK(xp.dim(1) == gates, "lstm_fused_step x_proj must be [B, 4*hidden]");
-  SG_CHECK(hp.dim(0) == batch && cpv.dim(0) == batch && cpv.dim(1) == hidden,
-           "lstm_fused_step state shape mismatch");
-  SG_CHECK(wh.rank() == 2 && wh.dim(0) == hidden && wh.dim(1) == gates,
-           "lstm_fused_step weight_h must be [hidden, 4*hidden]");
-  SG_CHECK(bv.rank() == 1 && bv.dim(0) == gates, "lstm_fused_step bias must be [4*hidden]");
-
-  // Gate pre-activations z = (x_proj + h_prev·Wh) + b — the same
-  // association order as the unfused add(x_proj, matmul(h, Wh)) followed
-  // by add_rowvec. The recurrent product lands in workspace scratch, not
-  // a fresh tensor.
-  float* pre = gemm::scratch(kLstmScratchSlot, static_cast<std::size_t>(batch * gates));
-  gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kNo, batch, gates, hidden, hp.data(), hidden,
-              wh.data(), gates, pre, gates, /*accumulate=*/false);
-
-  // Activated gates [B,4H] (columns i|f|g|o) and tanh(c) are the only
-  // forward products backward needs; both are shared by the two nodes.
-  auto acts = std::make_shared<Tensor>(Shape{batch, gates});
-  auto tanh_c = std::make_shared<Tensor>(Shape{batch, hidden});
-  Tensor c_out(Shape{batch, hidden});
-  Tensor h_out(Shape{batch, hidden});
-  for (long r = 0; r < batch; ++r) {
-    const float* xrow = xp.data() + r * gates;
-    const float* prow = pre + r * gates;
-    float* arow = acts->data() + r * gates;
-    for (long j = 0; j < gates; ++j) {
-      const float z = (xrow[j] + prow[j]) + bv[j];
-      arow[j] = (j < 2 * hidden || j >= 3 * hidden) ? stable_sigmoid(z) : std::tanh(z);
-    }
-    const float* cprow = cpv.data() + r * hidden;
-    float* crow = c_out.data() + r * hidden;
-    float* hrow = h_out.data() + r * hidden;
-    float* tcrow = tanh_c->data() + r * hidden;
-    for (long j = 0; j < hidden; ++j) {
-      const float cv = (arow[hidden + j] * cprow[j]) + (arow[j] * arow[2 * hidden + j]);
-      crow[j] = cv;
-      const float tc = std::tanh(cv);
-      tcrow[j] = tc;
-      hrow[j] = arow[3 * hidden + j] * tc;
-    }
-  }
-
-  // Side-channel from the h node's backward into the c node's backward:
-  // the o-gate gradient needs dL/dh. The h node is the c node's consumer,
-  // so its closure is guaranteed to run first and stash dh here; rank
-  // stays 0 when h never receives gradient (e.g. an unused final state),
-  // in which case the o-gate gradient is exactly zero — matching the
-  // unfused graph, where the o-sigmoid node would be unreachable.
-  auto dh_buf = std::make_shared<Tensor>();
-
-  Var c_var = Var::make_op(
-      std::move(c_out), {x_proj, h_prev, weight_h, bias, c_prev},
-      [batch, hidden, gates, acts, tanh_c, dh_buf](const Tensor& dc, std::vector<Var>& parents) {
-        Var& p_xproj = parents[0];
-        Var& p_hprev = parents[1];
-        Var& p_wh = parents[2];
-        Var& p_bias = parents[3];
-        Var& p_cprev = parents[4];
-        const bool have_dh = dh_buf->rank() == 2;
-        const Tensor& cp = p_cprev.value();
-        // Assemble the gate pre-activation gradients dgates [B,4H]; each
-        // expression replays the unfused mul→activation backward chain
-        // exactly (ops.h contract).
-        float* dgates = gemm::scratch(kLstmScratchSlot, static_cast<std::size_t>(batch * gates));
-        for (long r = 0; r < batch; ++r) {
-          const float* arow = acts->data() + r * gates;
-          const float* tcrow = tanh_c->data() + r * hidden;
-          const float* dcrow = dc.data() + r * hidden;
-          const float* cprow = cp.data() + r * hidden;
-          const float* dhrow = have_dh ? dh_buf->data() + r * hidden : nullptr;
-          float* drow = dgates + r * gates;
-          for (long j = 0; j < hidden; ++j) {
-            const float iv = arow[j];
-            const float fv = arow[hidden + j];
-            const float gv = arow[2 * hidden + j];
-            const float ov = arow[3 * hidden + j];
-            const float dcv = dcrow[j];
-            drow[j] = (dcv * gv) * (iv * (1.0f - iv));
-            drow[hidden + j] = (dcv * cprow[j]) * (fv * (1.0f - fv));
-            drow[2 * hidden + j] = (dcv * iv) * (1.0f - gv * gv);
-            drow[3 * hidden + j] = have_dh ? (dhrow[j] * tcrow[j]) * (ov * (1.0f - ov)) : 0.0f;
-          }
-        }
-        if (p_xproj.requires_grad()) {
-          Tensor& gx = p_xproj.grad_storage();
-          const long n = batch * gates;
-          for (long idx = 0; idx < n; ++idx) gx[idx] += dgates[idx];
-        }
-        if (p_hprev.requires_grad()) {
-          // dh_prev += dgates · Whᵀ — the matmul-backward NT product.
-          Tensor& gh = p_hprev.grad_storage();
-          gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kTrans, batch, hidden, gates, dgates, gates,
-                      p_wh.value().data(), gates, gh.data(), hidden, /*accumulate=*/true);
-        }
-        if (p_wh.requires_grad()) {
-          // dWh += h_prevᵀ · dgates — the matmul-backward TN product.
-          Tensor& gw = p_wh.grad_storage();
-          gemm::sgemm(gemm::Trans::kTrans, gemm::Trans::kNo, hidden, gates, batch,
-                      p_hprev.value().data(), hidden, dgates, gates, gw.data(), gates,
-                      /*accumulate=*/true);
-        }
-        if (p_bias.requires_grad()) {
-          // Column reduction parallelized over disjoint column slices;
-          // per-column order stays i-ascending — the add_rowvec backward.
-          Tensor& gb = p_bias.grad_storage();
-          float* pgb = gb.data();
-          const float* pg = dgates;
-          parallel_for(static_cast<std::size_t>(gates), /*grain=*/16,
-                       [&](std::size_t jb, std::size_t je) {
-                         for (long i = 0; i < batch; ++i) {
-                           const float* grow = pg + i * gates;
-                           for (std::size_t j = jb; j < je; ++j) {
-                             pgb[j] += grow[j];
-                           }
-                         }
-                       });
-        }
-        if (p_cprev.requires_grad()) {
-          Tensor& gcp = p_cprev.grad_storage();
-          for (long r = 0; r < batch; ++r) {
-            const float* arow = acts->data() + r * gates;
-            const float* dcrow = dc.data() + r * hidden;
-            float* grow = gcp.data() + r * hidden;
-            for (long j = 0; j < hidden; ++j) grow[j] += dcrow[j] * arow[hidden + j];
-          }
-        }
-      });
-
-  Var h_var = Var::make_op(
-      std::move(h_out), {c_var},
-      [batch, hidden, acts, tanh_c, dh_buf](const Tensor& dh, std::vector<Var>& parents) {
-        if (!parents[0].requires_grad()) return;
-        *dh_buf = dh;  // stashed for the c node's o-gate gradient
-        // Tanh-path term of the cell gradient: dc += (dh ⊙ o)(1 − tanh²c)
-        // — the unfused mul-then-vtanh backward chain.
-        Tensor& gc = parents[0].grad_storage();
-        const long gates = 4 * hidden;
-        for (long r = 0; r < batch; ++r) {
-          const float* arow = acts->data() + r * gates;
-          const float* tcrow = tanh_c->data() + r * hidden;
-          const float* dhrow = dh.data() + r * hidden;
-          float* gcrow = gc.data() + r * hidden;
-          for (long j = 0; j < hidden; ++j) {
-            const float tc = tcrow[j];
-            gcrow[j] += (dhrow[j] * arow[3 * hidden + j]) * (1.0f - tc * tc);
-          }
-        }
-      });
-  return {h_var, c_var};
 }
 
 Var mse_loss(const Var& pred, const Var& target) {

@@ -7,12 +7,26 @@
 
 #pragma once
 
-#include <utility>
+#include <cmath>
 #include <vector>
 
 #include "nn/autograd.h"
 
 namespace spectra::nn {
+
+namespace detail {
+
+// Logistic without overflow for either sign of x: 1/(1+e^-x) for
+// x >= 0, e^x/(1+e^x) below. Both branches share e = exp(-|x|), so the
+// sign only selects the numerator and the code has no data-dependent
+// branch to mispredict. The forward of sigmoid(), shared with the LSTM
+// gate kernel so both round identically.
+inline float stable_sigmoid(float x) {
+  const float e = std::exp(-std::fabs(x));
+  return (x >= 0.0f ? 1.0f : e) / (1.0f + e);
+}
+
+}  // namespace detail
 
 // --- elementwise binary (operands must have identical shapes) ---
 Var add(const Var& a, const Var& b);
@@ -43,8 +57,8 @@ Var mean(const Var& a);
 // --- shape manipulation ---
 Var reshape(const Var& a, Shape new_shape);
 
-// Take `len` indices starting at `start` along `axis` (extent shrinks).
-Var slice_axis(const Var& a, int axis, long start, long len);
+// Take `len` indices start, start+step, ... along `axis` (extent shrinks).
+Var slice_axis(const Var& a, int axis, long start, long len, long step = 1);
 
 // Columns [start, start+len) of a rank-2 tensor.
 Var slice_cols(const Var& a, long start, long len);
@@ -54,6 +68,14 @@ Var select0(const Var& a, long i);
 
 // Stack equal-shaped tensors along a new leading axis.
 Var stack0(const std::vector<Var>& parts);
+
+// Repeat the whole tensor `times` times along axis 0:
+// [n, ...] -> [times·n, ...].
+Var tile0(const Var& a, long times);
+
+// Sum over axis 0, removing it; rows accumulate in ascending order, as a
+// chain of add() calls would.
+Var sum_axis0(const Var& a);
 
 // Concatenate along an existing axis; all other extents must match.
 Var concat_axis(const std::vector<Var>& parts, int axis);
@@ -70,20 +92,6 @@ Var add_rowvec(const Var& a, const Var& bias);
 
 // Fully-connected layer primitive: x [B,in] * W [in,out] + b [out].
 Var linear(const Var& x, const Var& weight, const Var& bias);
-
-// Fused LSTM recurrence step (DESIGN §6c). Computes
-//   gates = (x_proj + h_prev·Wh) + b,  i|f|g|o = σ|σ|tanh|σ (gate cols),
-//   c = f⊙c_prev + i⊙g,  h = o⊙tanh(c)
-// in one pass and returns {h, c} as two autograd nodes instead of the
-// ~12-node unfused composition (add/add_rowvec/4×slice/4×activation/
-// 3×mul/add per step). Forward and backward reproduce the unfused
-// per-element arithmetic exactly — same expressions, same accumulation
-// order — so results and gradients are bitwise identical to composing
-// the individual ops (asserted by layers_test). x_proj is [B,4H]
-// (precomputed x·Wx, gate columns ordered i,f,g,o), h_prev/c_prev are
-// [B,H], weight_h is [H,4H], bias is [4H].
-std::pair<Var, Var> lstm_fused_step(const Var& x_proj, const Var& h_prev, const Var& c_prev,
-                                    const Var& weight_h, const Var& bias);
 
 // --- losses (mean-reduced scalars) ---
 Var mse_loss(const Var& pred, const Var& target);

@@ -121,6 +121,8 @@ void run_manifest_set_name(const std::string& run_name) {
   s.name = run_name;
 }
 
+const char* build_git_sha() { return SG_BUILD_GIT_SHA; }
+
 std::string run_manifest_json(const std::string& run_name) {
   std::string name = run_name;
   if (name.empty()) {
@@ -137,7 +139,7 @@ std::string run_manifest_json(const std::string& run_name) {
 
   std::ostringstream out;
   out << "{\"name\":\"" << json_escape(name) << "\",\"git_sha\":\""
-      << json_escape(SG_BUILD_GIT_SHA) << "\",\"build_type\":\""
+      << json_escape(build_git_sha()) << "\",\"build_type\":\""
       << json_escape(SG_BUILD_TYPE) << "\",\"cxx_flags\":\""
       << json_escape(SG_BUILD_CXX_FLAGS) << "\",\"wall_seconds\":"
       << format_double(wall.count()) << ",\"env\":{";

@@ -38,6 +38,10 @@ void run_manifest_set_string(const std::string& key, const std::string& value);
 // still takes precedence.
 void run_manifest_set_name(const std::string& run_name);
 
+// Git SHA of the source tree this binary was built from, with a -dirty
+// suffix for uncommitted changes; "unknown" outside a git checkout.
+const char* build_git_sha();
+
 // Build the manifest document. `run_name` defaults to the SPECTRA_RUN
 // env value or "run" when unset.
 std::string run_manifest_json(const std::string& run_name = "");

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -157,12 +158,24 @@ WireRequest decode_request(const std::vector<std::uint8_t>& payload) {
       cells > kMaxFrameBytes / sizeof(double)) {
     throw ProtocolError("declared context shape exceeds the frame size limit");
   }
+  // Each response row is one SGRW frame of steps·width doubles after its
+  // header, so steps is capped by what that frame can carry.
+  std::size_t row_bytes = 0;
+  if (__builtin_mul_overflow(static_cast<std::size_t>(request.steps),
+                             static_cast<std::size_t>(request.width), &row_bytes) ||
+      __builtin_mul_overflow(row_bytes, sizeof(double), &row_bytes) ||
+      row_bytes > kMaxFrameBytes - kRowHeaderBytes) {
+    throw ProtocolError("requested steps x width exceeds the row frame size limit");
+  }
   if (r.remaining() != cells * sizeof(double)) {
     throw ProtocolError("context size does not match declared shape");
   }
   request.context.resize(cells);
   r.f64s(request.context.data(), cells);
   r.expect_end();
+  for (double v : request.context) {
+    if (!std::isfinite(v)) throw ProtocolError("context holds a non-finite value");
+  }
   return request;
 }
 
@@ -337,6 +350,17 @@ DaemonStats daemon_loop(std::FILE* in, std::FILE* out, Server& server) {
       ++stats.protocol_errors;
       protocol_errors().inc();
       writer.write_error(e.what());
+      continue;
+    }
+
+    // A context the model cannot read is this request's error, answered
+    // before it is queued rather than thrown from a worker.
+    const long model_channels = server.model().config().context_channels;
+    if (wire.channels != model_channels) {
+      ++stats.protocol_errors;
+      protocol_errors().inc();
+      writer.write_error("context has " + std::to_string(wire.channels) +
+                         " channels; the model expects " + std::to_string(model_channels));
       continue;
     }
 

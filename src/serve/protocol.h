@@ -30,6 +30,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -51,6 +52,9 @@ inline constexpr std::uint32_t kProtocolVersion = 1;
 // is ~268 MB, so this bounds a malicious length prefix without capping
 // any realistic request.
 inline constexpr std::uint32_t kMaxFrameBytes = 512u * 1024u * 1024u;
+
+// SGRW payload bytes before the row values: type, id, row index, count.
+inline constexpr std::size_t kRowHeaderBytes = 4 + 8 + 4 + 4;
 
 enum class FrameType : std::uint32_t {
   kRequest = 0x53475251u,  // "SGRQ" (big-endian mnemonic only)

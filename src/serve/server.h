@@ -139,6 +139,7 @@ class Server {
   void stop();
 
   const ServerOptions& options() const { return options_; }
+  const core::SpectraGan& model() const { return *model_; }
 
  private:
   struct Queued {

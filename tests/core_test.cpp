@@ -25,6 +25,7 @@
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "support/fft_bridge_reference.h"
+#include "support/lstm_reference.h"
 #include "util/error.h"
 
 namespace spectra::core {
@@ -131,6 +132,42 @@ TEST(TimeGeneratorTest, OutputShape) {
   EXPECT_EQ(out.value().dim(0), 2);
   EXPECT_EQ(out.value().dim(1), 30);
   EXPECT_EQ(out.value().dim(2), 16);
+}
+
+TEST(TimeGeneratorTest, TimeEncodedInputsAreStepMajorRows) {
+  Rng rng(7);
+  const long steps = 30, batch = 3, width = 5, day = 24;
+  nn::Var cond = nn::Var::leaf(nn::init::gaussian({batch, width}, 1.0f, rng));
+  for (bool week : {true, false}) {
+    cond.zero_grad();
+    const nn::Var x = time_encoded_inputs(cond, steps, day, week);
+    ASSERT_EQ(x.value().dim(0), steps * batch);
+    ASSERT_EQ(x.value().dim(1), width + kTimeFeatures);
+    const nn::Tensor weights = nn::init::gaussian(x.value().shape(), 1.0f, rng);
+    nn::sum(nn::mul(x, nn::Var::constant(weights))).backward();
+    for (long t = 0; t < steps; ++t) {
+      const double d = 2.0 * M_PI * static_cast<double>(t % day) / day;
+      const double w = 2.0 * M_PI * static_cast<double>(t % (7 * day)) / (7 * day);
+      const float clock[4] = {static_cast<float>(std::sin(d)), static_cast<float>(std::cos(d)),
+                              week ? static_cast<float>(std::sin(w)) : 0.0f,
+                              week ? static_cast<float>(std::cos(w)) : 0.0f};
+      for (long b = 0; b < batch; ++b) {
+        const float* row = x.value().data() + (t * batch + b) * (width + kTimeFeatures);
+        for (long j = 0; j < width; ++j) ASSERT_EQ(row[j], cond.value()[b * width + j]);
+        for (long j = 0; j < kTimeFeatures; ++j) ASSERT_EQ(row[width + j], clock[j]);
+      }
+    }
+    // Each cond entry's gradient sums its column over every step.
+    for (long b = 0; b < batch; ++b) {
+      for (long j = 0; j < width; ++j) {
+        float expected = 0.0f;
+        for (long t = 0; t < steps; ++t) {
+          expected += weights[(t * batch + b) * (width + kTimeFeatures) + j];
+        }
+        EXPECT_EQ(cond.grad()[b * width + j], expected);
+      }
+    }
+  }
 }
 
 TEST(DiscriminatorTest, LogitShapes) {
@@ -467,6 +504,146 @@ TEST_P(VariantTrainingTest, EachVariantTrainsAndGenerates) {
 INSTANTIATE_TEST_SUITE_P(Variants, VariantTrainingTest,
                          testing::Values("SpectraGAN", "SpectraGAN-", "Spec-only", "Time-only",
                                          "Time-only+"));
+
+// --- recurrent critics and generators vs the per-step oracle ---
+// G^t, R^t and DoppelGANger's generator and critic run each sequence as
+// one nn::lstm_sequence node with batched products around it. Their
+// forward values must equal the per-step composition (tests/support)
+// bitwise; gradients may differ only by the summation order of the
+// batched weight products, within kRecurrentGradBound of max(1, |ref|).
+constexpr float kRecurrentGradBound = 2e-5f;
+
+float relative_max_abs(const nn::Tensor& got, const nn::Tensor& expected) {
+  EXPECT_TRUE(got.same_shape(expected));
+  float diff = 0.0f, scale = 1.0f;
+  for (long i = 0; i < expected.numel(); ++i) {
+    diff = std::max(diff, std::fabs(got[i] - expected[i]));
+    scale = std::max(scale, std::fabs(expected[i]));
+  }
+  return diff / scale;
+}
+
+void expect_values_bitwise(const nn::Tensor& got, const nn::Tensor& expected, const char* what) {
+  ASSERT_TRUE(got.same_shape(expected)) << what;
+  for (long i = 0; i < expected.numel(); ++i) {
+    ASSERT_EQ(got[i], expected[i]) << what << " diverges at flat index " << i;
+  }
+}
+
+// Runs `forward` on both paths from the same leaves and compares the
+// outputs bitwise and the gradients of `params` + `inputs` within the
+// bound; returns the worst relative gradient difference.
+template <typename Fwd>
+float compare_with_oracle(const std::vector<nn::Var>& params, std::vector<nn::Var> inputs,
+                          Fwd forward, const char* what) {
+  auto run = [&](bool oracle_path) {
+    for (nn::Var p : params) p.zero_grad();
+    for (nn::Var& x : inputs) x = nn::Var::leaf(x.value());
+    nn::Var out = forward(oracle_path, inputs);
+    nn::sum(nn::mul(out, out)).backward();
+    std::vector<nn::Tensor> tensors{out.value()};
+    for (const nn::Var& p : params) tensors.push_back(p.grad());
+    for (const nn::Var& x : inputs) tensors.push_back(x.grad());
+    return tensors;
+  };
+  const std::vector<nn::Tensor> op = run(false);
+  const std::vector<nn::Tensor> ref = run(true);
+  expect_values_bitwise(op[0], ref[0], what);
+  float worst = 0.0f;
+  for (std::size_t i = 1; i < op.size(); ++i) {
+    const float err = relative_max_abs(op[i], ref[i]);
+    worst = std::max(worst, err);
+    EXPECT_LE(err, kRecurrentGradBound) << what << " gradient " << i;
+  }
+  return worst;
+}
+
+class RecurrentOracleTest : public testing::TestWithParam<long> {};
+
+TEST_P(RecurrentOracleTest, TimeGeneratorMatchesPerStepOracle) {
+  const long steps = GetParam();
+  const SpectraGanConfig config;
+  Rng rng(61);
+  TimeGenerator gen(config, rng);
+  const long batch = config.batch, side = config.patch.traffic_h;
+  nn::Var h = nn::Var::constant(
+      nn::init::gaussian({batch, config.hidden_channels, side, side}, 1.0f, rng));
+  nn::Var z = nn::Var::constant(
+      nn::init::gaussian({batch, config.noise_channels, side, side}, 1.0f, rng));
+  const float worst = compare_with_oracle(
+      gen.parameters(), {h, z}, [&](bool oracle_path, const std::vector<nn::Var>& in) {
+        if (!oracle_path) return gen.forward(in[0], in[1], steps);
+        nn::Var flat = nn::reshape(nn::concat_axis({in[0], in[1]}, 1),
+                                   {batch, (config.hidden_channels + config.noise_channels) *
+                                               side * side});
+        nn::Var cond = nn::vtanh(gen.condition().forward(flat));
+        nn::Var out = oracle::reference_lstm_forward(
+            gen.lstm(), time_encoded_inputs(cond, steps, gen.steps_per_day()), batch);
+        return nn::transpose01(nn::reshape(out, {steps, batch, side * side}));
+      }, "G^t");
+  std::printf("[oracle] G^t T*k=%ld grad relative max-abs %.3g\n", steps,
+              static_cast<double>(worst));
+}
+
+TEST_P(RecurrentOracleTest, TimeDiscriminatorMatchesPerStepOracle) {
+  const long steps = GetParam();
+  const SpectraGanConfig config;
+  Rng rng(62);
+  TimeDiscriminator critic(config, rng);
+  const long batch = config.batch, side = config.patch.traffic_h, pixels = side * side;
+  nn::Var traffic = nn::Var::constant(nn::init::gaussian({batch, steps, pixels}, 1.0f, rng));
+  nn::Var h = nn::Var::constant(
+      nn::init::gaussian({batch, config.hidden_channels, side, side}, 1.0f, rng));
+  const float worst = compare_with_oracle(
+      critic.parameters(), {traffic, h}, [&](bool oracle_path, const std::vector<nn::Var>& in) {
+        if (!oracle_path) return critic.forward(in[0], in[1]);
+        // The pre-sequence R^t: one [B, P] slice per critiqued step.
+        nn::Var cond = nn::vtanh(critic.condition().forward(
+            nn::reshape(in[1], {batch, config.hidden_channels * pixels})));
+        std::vector<nn::Var> rows;
+        for (long t = 0; t < steps; t += critic.stride()) {
+          rows.push_back(nn::reshape(nn::slice_axis(in[0], 1, t, 1), {batch, pixels}));
+        }
+        return oracle::reference_mean_step_logits(critic.cell(), critic.head(),
+                                                  nn::concat_axis(rows, 0), cond, batch);
+      }, "R^t");
+  std::printf("[oracle] R^t T*k=%ld grad relative max-abs %.3g\n", steps,
+              static_cast<double>(worst));
+}
+
+// DoppelGANger's generator and critic at its own shapes: a cond+4 -> 1
+// sigmoid LSTM over the day-clock inputs, and a per-step scalar critic.
+TEST_P(RecurrentOracleTest, DoppelGangerRecurrencesMatchPerStepOracle) {
+  const long steps = GetParam();
+  const SpectraGanConfig config;
+  Rng rng(63);
+  nn::Lstm gen(config.cond_dim + kTimeFeatures, config.lstm_hidden, 1, rng,
+               nn::Activation::kSigmoid);
+  nn::LSTMCell disc_cell(1 + config.cond_dim, config.lstm_hidden, rng);
+  nn::Linear disc_head(config.lstm_hidden, 1, rng);
+  const long batch = config.batch;
+  nn::Var cond = nn::Var::constant(nn::init::gaussian({batch, config.cond_dim}, 0.5f, rng));
+  const float gen_worst = compare_with_oracle(
+      gen.parameters(), {cond}, [&](bool oracle_path, const std::vector<nn::Var>& in) {
+        nn::Var x = time_encoded_inputs(in[0], steps, config.steps_per_day, false);
+        return oracle_path ? oracle::reference_lstm_forward(gen, x, batch) : gen.forward(x, batch);
+      }, "DoppelGANger generator");
+
+  std::vector<nn::Var> disc_params = disc_cell.parameters();
+  for (const nn::Var& p : disc_head.parameters()) disc_params.push_back(p);
+  nn::Var series = nn::Var::constant(nn::init::gaussian({batch, steps}, 1.0f, rng));
+  const float disc_worst = compare_with_oracle(
+      disc_params, {series, cond}, [&](bool oracle_path, const std::vector<nn::Var>& in) {
+        nn::Var x_steps = nn::reshape(nn::transpose01(in[0]), {steps * batch, 1});
+        return oracle_path
+                   ? oracle::reference_mean_step_logits(disc_cell, disc_head, x_steps, in[1], batch)
+                   : mean_step_logits(disc_cell, disc_head, x_steps, in[1], batch);
+      }, "DoppelGANger critic");
+  std::printf("[oracle] DoppelGANger T=%ld grad relative max-abs gen %.3g critic %.3g\n", steps,
+              static_cast<double>(gen_worst), static_cast<double>(disc_worst));
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, RecurrentOracleTest, testing::Values(168L, 504L));
 
 }  // namespace
 }  // namespace spectra::core

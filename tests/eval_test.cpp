@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <vector>
 
 #include "eval/protocol.h"
 #include "eval/report.h"
+#include "obs/metrics.h"
+#include "obs/run_manifest.h"
 #include "util/error.h"
 
 namespace spectra::eval {
@@ -110,13 +114,46 @@ TEST(EvalTest, GenerateForFoldUsesCache) {
   base.cond_dim = 8;
   base.disc_mlp_hidden = 8;
 
+  obs::Counter& hits = obs::Registry::instance().counter("eval.cache.hits");
+  obs::Counter& writes = obs::Registry::instance().counter("eval.cache.writes");
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t writes_before = writes.value();
   const data::Fold fold{0, {1, 2, 3}};
   const geo::CityTensor first = generate_for_fold("FDAS", base, dataset, fold, config);
   EXPECT_EQ(first.steps(), config.generate_steps);
-  // Second call must come from cache and match bit-for-bit.
+  // Second call must come from cache and match bit-for-bit — when this
+  // build is a clean commit. A dirty or unversioned build must not touch
+  // the cache at all.
   const geo::CityTensor second = generate_for_fold("FDAS", base, dataset, fold, config);
   EXPECT_EQ(first.values(), second.values());
+  const bool cacheable = !cache_code_identity(obs::build_git_sha()).empty();
+  EXPECT_EQ(hits.value() - hits_before, cacheable ? 1u : 0u);
+  EXPECT_EQ(writes.value() - writes_before, cacheable ? 1u : 0u);
   std::filesystem::remove_all(cache);
+}
+
+TEST(EvalTest, CacheCodeIdentityRejectsDirtyAndUnknownBuilds) {
+  const std::string sha = "c96d00912a92a1acc2862abbe51949d45773c1b9";
+  EXPECT_EQ(cache_code_identity(sha), sha);
+  EXPECT_EQ(cache_code_identity(sha + "-dirty"), "");
+  EXPECT_EQ(cache_code_identity("unknown"), "");
+  EXPECT_EQ(cache_code_identity(""), "");
+}
+
+TEST(EvalTest, ConfigDigestCoversEveryKindOfField) {
+  const core::SpectraGanConfig base;
+  const std::string digest = config_digest(base);
+  EXPECT_EQ(digest.size(), 16u);
+  EXPECT_EQ(config_digest(base), digest);
+  std::vector<core::SpectraGanConfig> changed(7, base);
+  changed[0].patch.stride = 1;
+  changed[1].lstm_hidden = 32;
+  changed[2].lambda_l1 = 0.5f;
+  changed[3].use_time_generator = false;
+  changed[4].iterations = 401;
+  changed[5].lr_discriminator = 2e-3f;
+  changed[6].seed = 18;
+  for (const core::SpectraGanConfig& c : changed) EXPECT_NE(config_digest(c), digest);
 }
 
 TEST(ReportTest, MetricsTableLayout) {

@@ -21,6 +21,7 @@
 #include "nn/lstm.h"
 #include "nn/ops.h"
 #include "obs/metrics.h"
+#include "support/lstm_reference.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -117,6 +118,43 @@ TEST(GemmTest, EverySimdLevelMatchesOrderedReferenceExactly) {
     check_variant(Trans::kNo, Trans::kTrans, 8, 32, 19, true, rng);
     check_variant(Trans::kTrans, Trans::kNo, 3, 5, 41, false, rng);
     check_variant(Trans::kNo, Trans::kNo, 1, 1, 1, true, rng);
+  }
+  set_simd_level(restore);
+}
+
+// PackedB::multiply reuses one packing of op(B) across calls and must be
+// bitwise equal to sgemm on the same operands, at every dispatch level,
+// across the column (kNC) and k (kKC) block boundaries.
+void check_packed(Trans ta, Trans tb, long m, long n, long k, bool accumulate, Rng& rng) {
+  const long lda = ta == Trans::kNo ? k : m;
+  const long ldb = tb == Trans::kNo ? n : k;
+  const std::vector<float> b = random_values(k * n, rng);
+  const gemm::PackedB packed(tb, k, n, b.data(), ldb);
+  for (int call = 0; call < 2; ++call) {
+    const std::vector<float> a = random_values(m * k, rng);
+    std::vector<float> c = random_values(m * n, rng);
+    std::vector<float> expected = c;
+    packed.multiply(ta, m, a.data(), lda, c.data(), n, accumulate);
+    gemm::sgemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, expected.data(), n, accumulate);
+    for (long i = 0; i < m * n; ++i) {
+      ASSERT_EQ(c[static_cast<std::size_t>(i)], expected[static_cast<std::size_t>(i)])
+          << "m=" << m << " n=" << n << " k=" << k << " call " << call << " index " << i;
+    }
+  }
+}
+
+TEST(GemmTest, PackedBMatchesSgemmAtEverySimdLevel) {
+  const SimdLevel restore = active_simd_level();
+  for (const SimdLevel level :
+       {SimdLevel::kGeneric, SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
+    if (!simd_level_available(level)) continue;
+    set_simd_level(level);
+    Rng rng(4000 + static_cast<std::uint64_t>(level));
+    check_packed(Trans::kNo, Trans::kNo, 16, 96, 24, false, rng);  // LSTM recurrence
+    check_packed(Trans::kNo, Trans::kTrans, 16, 24, 96, false, rng);  // its backward
+    check_packed(Trans::kNo, Trans::kNo, 9, gemm::kNC + 13, gemm::kKC + 7, true, rng);
+    check_packed(Trans::kTrans, Trans::kTrans, 5, 33, 19, true, rng);
+    check_packed(Trans::kNo, Trans::kNo, 1, 1, 1, false, rng);
   }
   set_simd_level(restore);
 }
@@ -249,37 +287,23 @@ TEST(GemmTest, BatchedLstmForwardMatchesPerStepReference) {
   const long T = 5, B = 3, in = 6, hidden = 4, out = 2;
   Rng model_rng(77);
   Lstm lstm(in, hidden, out, model_rng, Activation::kNone);
+  Var inputs = Var::leaf(init::gaussian({T * B, in}, 1.0f, rng));
+  const Var batched = lstm.forward(inputs, B);
 
-  std::vector<Var> inputs;
-  for (long t = 0; t < T; ++t) {
-    inputs.push_back(Var::leaf(init::gaussian({B, in}, 1.0f, rng)));
-  }
-  const std::vector<Var> batched = lstm.forward(inputs);
-
-  // Per-step reference through the public single-step API (the pre-batch
-  // code path). The batched projection computes each row with the same
+  // Per-step reference (tests/support): one step and one head product
+  // per timestep. The batched products compute each row with the same
   // reduction order, so outputs must match bitwise.
-  LstmState state = lstm.cell().initial_state(B);
-  ASSERT_EQ(batched.size(), static_cast<std::size_t>(T));
-  for (long t = 0; t < T; ++t) {
-    state = lstm.cell().step(inputs[static_cast<std::size_t>(t)], state);
-    const Tensor expected = lstm.head().forward(state.h).value();
-    const Tensor& got = batched[static_cast<std::size_t>(t)].value();
-    ASSERT_TRUE(got.same_shape(expected));
-    for (long i = 0; i < expected.numel(); ++i) {
-      ASSERT_EQ(got[i], expected[i]) << "step " << t << " flat index " << i;
-    }
-  }
+  const Tensor expected = oracle::reference_lstm_forward(lstm, inputs, B).value();
+  const Tensor& got = batched.value();
+  ASSERT_TRUE(got.same_shape(expected));
+  for (long i = 0; i < expected.numel(); ++i) ASSERT_EQ(got[i], expected[i]) << "flat index " << i;
 
-  // Gradients flow back through concat/slice to every step's input.
-  Var total = sum(batched[0]);
-  for (std::size_t t = 1; t < batched.size(); ++t) total = add(total, sum(batched[t]));
-  total.backward();
+  // Gradients flow back through the sequence op to every step's input.
+  sum(batched).backward();
+  const Tensor& gx = inputs.grad();
   for (long t = 0; t < T; ++t) {
-    const Tensor& gx = inputs[static_cast<std::size_t>(t)].grad();
-    ASSERT_EQ(gx.numel(), B * in);
     float norm = 0.0f;
-    for (long i = 0; i < gx.numel(); ++i) norm += gx[i] * gx[i];
+    for (long i = t * B * in; i < (t + 1) * B * in; ++i) norm += gx[i] * gx[i];
     EXPECT_GT(norm, 0.0f) << "no gradient reached step " << t << " input";
   }
 }
@@ -288,19 +312,17 @@ TEST(GemmTest, ForwardRepeatSharesOneProjection) {
   Rng rng(43);
   Rng model_rng(79);
   Lstm lstm(5, 4, 3, model_rng, Activation::kTanh);
-  Var input = Var::leaf(init::gaussian({2, 5}, 1.0f, rng));
-  const std::vector<Var> outputs = lstm.forward_repeat(input, 6);
-  ASSERT_EQ(outputs.size(), 6u);
-  // Reference via the single-step API.
-  LstmState state = lstm.cell().initial_state(2);
-  for (std::size_t t = 0; t < outputs.size(); ++t) {
-    state = lstm.cell().step(input, state);
-    const Tensor expected = vtanh(lstm.head().forward(state.h)).value();
-    for (long i = 0; i < expected.numel(); ++i) {
-      ASSERT_EQ(outputs[t].value()[i], expected[i]) << "step " << t << " flat index " << i;
-    }
+  const long B = 2, steps = 6;
+  Var input = Var::leaf(init::gaussian({B, 5}, 1.0f, rng));
+  const Var outputs = lstm.forward_repeat(input, steps);
+  // Reference: the per-step oracle over the input repeated every step.
+  const Tensor expected =
+      oracle::reference_lstm_forward(lstm, tile0(input, steps), B).value();
+  ASSERT_TRUE(outputs.value().same_shape(expected));
+  for (long i = 0; i < expected.numel(); ++i) {
+    ASSERT_EQ(outputs.value()[i], expected[i]) << "flat index " << i;
   }
-  sum(outputs.back()).backward();
+  sum(outputs).backward();
   EXPECT_GT(input.grad().numel(), 0);
 }
 

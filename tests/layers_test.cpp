@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 
 #include "nn/init.h"
 #include "nn/layers.h"
 #include "nn/lstm.h"
 #include "nn/optim.h"
 #include "nn/serialize.h"
+#include "support/lstm_reference.h"
 #include "util/error.h"
 
 namespace spectra::nn {
@@ -74,18 +78,16 @@ TEST(ConvStackTest, PreservesSpatialWithPadding) {
   EXPECT_EQ(y.value().dim(3), 7);
 }
 
-TEST(LstmCellTest, StepShapesAndStateEvolution) {
+TEST(LstmCellTest, ForwardShapesAndStateEvolution) {
   Rng rng(7);
   LSTMCell cell(5, 8, rng);
-  LstmState state = cell.initial_state(3);
-  EXPECT_EQ(state.h.value().dim(1), 8);
-  Var x = Var::constant(init::gaussian({3, 5}, 1.0f, rng));
-  LstmState next = cell.step(x, state);
-  EXPECT_EQ(next.h.value().dim(0), 3);
-  // Cell output bounded by tanh.
-  for (long i = 0; i < next.h.value().numel(); ++i) {
-    EXPECT_LE(std::fabs(next.h.value()[i]), 1.0f);
-  }
+  const long steps = 4, batch = 3;
+  Var x = Var::constant(init::gaussian({steps * batch, 5}, 1.0f, rng));
+  Var h = cell.forward(x, batch);
+  ASSERT_EQ(h.value().dim(0), steps * batch);
+  EXPECT_EQ(h.value().dim(1), 8);
+  // Hidden states are bounded by tanh.
+  for (long i = 0; i < h.value().numel(); ++i) EXPECT_LE(std::fabs(h.value()[i]), 1.0f);
 }
 
 TEST(LstmCellTest, ForgetBiasInitializedToOne) {
@@ -101,15 +103,16 @@ TEST(LstmCellTest, ForgetBiasInitializedToOne) {
 TEST(LstmTest, ForwardRepeatProducesSteps) {
   Rng rng(9);
   Lstm lstm(4, 6, 2, rng);
-  Var input = Var::constant(init::gaussian({3, 4}, 1.0f, rng));
-  const std::vector<Var> outputs = lstm.forward_repeat(input, 10);
-  EXPECT_EQ(outputs.size(), 10u);
-  EXPECT_EQ(outputs[0].value().dim(1), 2);
-  // The recurrent state evolves: consecutive outputs differ.
+  const long batch = 3;
+  Var input = Var::constant(init::gaussian({batch, 4}, 1.0f, rng));
+  const Tensor outputs = lstm.forward_repeat(input, 10).value();
+  ASSERT_EQ(outputs.dim(0), 10 * batch);
+  EXPECT_EQ(outputs.dim(1), 2);
+  // The recurrent state evolves: the first and last steps differ.
   bool any_diff = false;
-  for (long i = 0; i < outputs[0].value().numel(); ++i) {
-    if (std::fabs(static_cast<double>(outputs[0].value()[i] - outputs[9].value()[i])) > 1e-6)
-      any_diff = true;
+  const long step = batch * 2;
+  for (long i = 0; i < step; ++i) {
+    if (std::fabs(static_cast<double>(outputs[i] - outputs[9 * step + i])) > 1e-6) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
 }
@@ -242,139 +245,156 @@ TEST_P(MlpWidthTest, FitsXorLikeTask) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, MlpWidthTest, testing::Values(4L, 8L, 16L));
 
-// --- fused LSTM recurrence vs the unfused op composition ---
-// The fused kernel (ops.h lstm_fused_step) claims bitwise-identical
-// forward values AND gradients: same per-element expressions, same
-// accumulation order as the add_rowvec/slice/sigmoid/tanh/mul chain.
+// --- whole-sequence LSTM op vs the per-step composition (tests/support) ---
+// lstm_sequence claims a bitwise-equal forward; its backward forms the
+// weight gradients as one product over all T·B rows, so gradients match
+// the per-step composition within a float-rounding bound.
 
 void expect_bitwise(const Tensor& a, const Tensor& b, const char* what) {
-  ASSERT_EQ(a.numel(), b.numel()) << what;
+  ASSERT_TRUE(a.same_shape(b)) << what;
   for (long i = 0; i < a.numel(); ++i) {
     ASSERT_EQ(a[i], b[i]) << what << " diverges at flat index " << i;
   }
 }
 
-TEST(LstmFusedTest, SingleStepMatchesUnfusedBitwise) {
-  Rng rng(41);
-  LSTMCell cell(7, 12, rng);
-  const long batch = 5;
-  const Tensor x_init = init::gaussian({batch, 7}, 1.0f, rng);
-  const Tensor h_init = init::gaussian({batch, 12}, 0.5f, rng);
-  const Tensor c_init = init::gaussian({batch, 12}, 0.5f, rng);
-
-  struct StepRun {
-    Tensor h, c, gx, gh0, gc0;
-    std::vector<Tensor> param_grads;
-  };
-  auto run = [&](bool fused) {
-    Var x = Var::leaf(x_init);
-    Var h0 = Var::leaf(h_init);
-    Var c0 = Var::leaf(c_init);
-    for (Var p : cell.parameters()) p.zero_grad();
-    LstmState state{h0, c0};
-    Var x_proj = cell.project_input(x);
-    LstmState next =
-        fused ? cell.step_projected(x_proj, state) : cell.step_projected_unfused(x_proj, state);
-    // Loss touches both outputs so every gradient path (incl. the o-gate
-    // dh side-channel and the direct dc path) is exercised.
-    Var loss = add(sum(next.h), sum(next.c));
-    loss.backward();
-    StepRun r{next.h.value(), next.c.value(), x.grad(), h0.grad(), c0.grad(), {}};
-    for (const Var& p : cell.parameters()) r.param_grads.push_back(p.grad());
-    return r;
-  };
-
-  const StepRun unfused = run(false);
-  const StepRun fused = run(true);
-  expect_bitwise(unfused.h, fused.h, "h_next");
-  expect_bitwise(unfused.c, fused.c, "c_next");
-  expect_bitwise(unfused.gx, fused.gx, "grad x");
-  expect_bitwise(unfused.gh0, fused.gh0, "grad h_prev");
-  expect_bitwise(unfused.gc0, fused.gc0, "grad c_prev");
-  ASSERT_EQ(unfused.param_grads.size(), fused.param_grads.size());
-  for (std::size_t i = 0; i < unfused.param_grads.size(); ++i) {
-    expect_bitwise(unfused.param_grads[i], fused.param_grads[i], "cell param grad");
+// Max-abs difference relative to max(1, max |expected|).
+float relative_max_abs(const Tensor& got, const Tensor& expected) {
+  float diff = 0.0f, scale = 1.0f;
+  for (long i = 0; i < expected.numel(); ++i) {
+    diff = std::max(diff, std::fabs(got[i] - expected[i]));
+    scale = std::max(scale, std::fabs(expected[i]));
   }
+  return diff / scale;
 }
 
-TEST(LstmFusedTest, TrainerShapeSequenceMatchesUnfusedBitwise) {
-  // Trainer-scale shapes (the bench's lstm_train_gt geometry): T=168
-  // steps, batch 6, 28 -> 24 hidden -> 16 out, full forward + backward.
-  const long kSteps = 168, kBatch = 6, kIn = 28, kHidden = 24, kOut = 16;
+struct SeqCase {
+  long steps, batch, gates_in_hidden;
+};
 
-  struct SeqRun {
-    std::vector<Tensor> outputs;
-    std::vector<Tensor> param_grads;
+struct SeqRun {
+  Tensor h;
+  std::vector<Tensor> grads;  // x_proj, W_hh, bias
+};
+
+// Runs the op (or the per-step oracle) from fixed leaves; the loss
+// weights every hidden state differently so each step's dh is distinct.
+SeqRun run_sequence(long steps, long batch, long hidden, bool oracle_path) {
+  Rng rng(static_cast<std::uint64_t>(1000 + steps * 31 + batch * 7 + hidden));
+  Var x_proj = Var::leaf(init::gaussian({steps * batch, 4 * hidden}, 1.0f, rng));
+  Var weight_h = Var::leaf(init::gaussian({hidden, 4 * hidden}, 0.4f, rng));
+  Var bias = Var::leaf(init::gaussian({4 * hidden}, 0.5f, rng));
+  const Tensor loss_weights = init::gaussian({steps * batch, hidden}, 1.0f, rng);
+  Var h = oracle_path ? oracle::reference_lstm_sequence(x_proj, weight_h, bias, batch)
+                      : lstm_sequence(x_proj, weight_h, bias, batch);
+  sum(mul(h, Var::constant(loss_weights))).backward();
+  return {h.value(), {x_proj.grad(), weight_h.grad(), bias.grad()}};
+}
+
+class LstmSequenceOracleTest : public testing::TestWithParam<SeqCase> {};
+
+TEST_P(LstmSequenceOracleTest, ForwardBitwiseBackwardWithinBound) {
+  const SeqCase c = GetParam();
+  const SeqRun op = run_sequence(c.steps, c.batch, c.gates_in_hidden, false);
+  const SeqRun ref = run_sequence(c.steps, c.batch, c.gates_in_hidden, true);
+  expect_bitwise(op.h, ref.h, "hidden states");
+  const char* names[] = {"x_proj", "W_hh", "bias"};
+  float worst = 0.0f;
+  for (std::size_t i = 0; i < op.grads.size(); ++i) {
+    const float err = relative_max_abs(op.grads[i], ref.grads[i]);
+    worst = std::max(worst, err);
+    EXPECT_LE(err, 1e-5f) << "grad " << names[i];
+  }
+  std::printf("[oracle] lstm_sequence T=%ld B=%ld H=%ld grad relative max-abs %.3g\n", c.steps,
+              c.batch, c.gates_in_hidden, static_cast<double>(worst));
+}
+
+// T = 1 and B = 1 edges, the trainer shape (T = 168, B = 6, H = 24) and
+// the serve shape (T = 504, B = 16), plus H = 70 whose 4H = 280 spans two
+// column blocks of the packed recurrent product.
+INSTANTIATE_TEST_SUITE_P(Shapes, LstmSequenceOracleTest,
+                         testing::Values(SeqCase{1, 5, 12}, SeqCase{9, 1, 12},
+                                         SeqCase{1, 1, 4}, SeqCase{168, 6, 24},
+                                         SeqCase{504, 16, 24}, SeqCase{6, 3, 70}));
+
+TEST(LstmSequenceTest, RejectsMisshapenOperands) {
+  Rng rng(45);
+  const long hidden = 4;
+  Var weight_h = Var::leaf(init::gaussian({hidden, 4 * hidden}, 0.4f, rng));
+  Var bias = Var::leaf(Tensor({4 * hidden}));
+  Var good = Var::leaf(init::gaussian({6, 4 * hidden}, 1.0f, rng));
+  EXPECT_NO_THROW(lstm_sequence(good, weight_h, bias, 3));
+  // x_proj must be [T·B, 4H]: wrong width, rank, or rows not a multiple of B.
+  EXPECT_THROW(lstm_sequence(Var::leaf(Tensor({6, 4 * hidden - 1})), weight_h, bias, 3),
+               spectra::Error);
+  EXPECT_THROW(lstm_sequence(Var::leaf(Tensor({6 * 4 * hidden})), weight_h, bias, 3),
+               spectra::Error);
+  EXPECT_THROW(lstm_sequence(good, weight_h, bias, 4), spectra::Error);
+  EXPECT_THROW(lstm_sequence(good, weight_h, bias, 0), spectra::Error);
+  // W_hh must be [H, 4H] and the bias [4H].
+  EXPECT_THROW(lstm_sequence(good, Var::leaf(Tensor({hidden, 3 * hidden})), bias, 3),
+               spectra::Error);
+  EXPECT_THROW(lstm_sequence(good, weight_h, Var::leaf(Tensor({hidden})), 3), spectra::Error);
+}
+
+TEST(LstmSequenceTest, InferenceModeMatchesRecordedForward) {
+  Rng rng(46);
+  Var x_proj = Var::leaf(init::gaussian({7 * 3, 4 * 5}, 1.0f, rng));
+  Var weight_h = Var::leaf(init::gaussian({5, 4 * 5}, 0.4f, rng));
+  Var bias = Var::leaf(init::gaussian({4 * 5}, 0.5f, rng));
+  const Var recorded = lstm_sequence(x_proj, weight_h, bias, 3);
+  EXPECT_TRUE(recorded.requires_grad());
+  InferenceGuard no_grad;
+  const Var unrecorded = lstm_sequence(x_proj, weight_h, bias, 3);
+  EXPECT_FALSE(unrecorded.requires_grad());
+  expect_bitwise(unrecorded.value(), recorded.value(), "inference forward");
+}
+
+TEST(LstmSequenceTest, LossOnLastStepOnlyMatchesOracle) {
+  // Only the final hidden state reaches the loss: every earlier dh comes
+  // from the recurrence alone.
+  const long steps = 12, batch = 2, hidden = 6;
+  auto run = [&](bool oracle_path) {
+    Rng rng(47);
+    Var x_proj = Var::leaf(init::gaussian({steps * batch, 4 * hidden}, 1.0f, rng));
+    Var weight_h = Var::leaf(init::gaussian({hidden, 4 * hidden}, 0.4f, rng));
+    Var bias = Var::leaf(init::gaussian({4 * hidden}, 0.5f, rng));
+    Var h = oracle_path ? oracle::reference_lstm_sequence(x_proj, weight_h, bias, batch)
+                        : lstm_sequence(x_proj, weight_h, bias, batch);
+    sum(slice_axis(h, 0, (steps - 1) * batch, batch)).backward();
+    return std::vector<Tensor>{x_proj.grad(), weight_h.grad(), bias.grad()};
   };
-  auto run = [&](bool fused) {
+  const std::vector<Tensor> op = run(false);
+  const std::vector<Tensor> ref = run(true);
+  for (std::size_t i = 0; i < op.size(); ++i) EXPECT_LE(relative_max_abs(op[i], ref[i]), 1e-5f);
+}
+
+TEST(LstmSequenceTest, LstmForwardMatchesPerStepOracle) {
+  // Lstm::forward at the trainer shape: batched projection, one sequence
+  // node, one head product — forward bitwise, parameter and input
+  // gradients within the bound.
+  const long kSteps = 168, kBatch = 6, kIn = 28, kHidden = 24, kOut = 16;
+  struct Run {
+    Tensor out;
+    std::vector<Tensor> grads;
+  };
+  auto run = [&](bool oracle_path) {
     Rng model_rng(91);
     Lstm lstm(kIn, kHidden, kOut, model_rng, Activation::kTanh);
     Rng data_rng(92);
-    std::vector<Var> inputs;
-    for (long t = 0; t < kSteps; ++t) {
-      inputs.push_back(Var::leaf(init::gaussian({kBatch, kIn}, 1.0f, data_rng)));
-    }
-    std::vector<Var> outs;
-    if (fused) {
-      outs = lstm.forward(inputs);
-    } else {
-      // Replicate Lstm::forward exactly — batched projection, per-step
-      // slices — but drive the unfused step.
-      Var all_steps = concat_axis(inputs, 0);
-      Var all_proj = lstm.cell().project_input(all_steps);
-      LstmState state = lstm.cell().initial_state(kBatch);
-      for (long t = 0; t < kSteps; ++t) {
-        Var x_proj = slice_axis(all_proj, 0, t * kBatch, kBatch);
-        state = lstm.cell().step_projected_unfused(x_proj, state);
-        outs.push_back(apply_activation(lstm.head().forward(state.h), Activation::kTanh));
-      }
-    }
-    Var total = sum(outs[0]);
-    for (std::size_t t = 1; t < outs.size(); ++t) total = add(total, sum(outs[t]));
-    total.backward();
-    SeqRun r;
-    for (const Var& o : outs) r.outputs.push_back(o.value());
-    for (const Var& p : lstm.parameters()) r.param_grads.push_back(p.grad());
+    Var inputs = Var::leaf(init::gaussian({kSteps * kBatch, kIn}, 1.0f, data_rng));
+    Var out = oracle_path ? oracle::reference_lstm_forward(lstm, inputs, kBatch)
+                          : lstm.forward(inputs, kBatch);
+    sum(out).backward();
+    Run r{out.value(), {inputs.grad()}};
+    for (const Var& p : lstm.parameters()) r.grads.push_back(p.grad());
     return r;
   };
-
-  const SeqRun unfused = run(false);
-  const SeqRun fused = run(true);
-  ASSERT_EQ(unfused.outputs.size(), fused.outputs.size());
-  for (std::size_t t = 0; t < unfused.outputs.size(); ++t) {
-    expect_bitwise(unfused.outputs[t], fused.outputs[t], "sequence output");
-  }
-  ASSERT_EQ(unfused.param_grads.size(), fused.param_grads.size());
-  for (std::size_t i = 0; i < unfused.param_grads.size(); ++i) {
-    expect_bitwise(unfused.param_grads[i], fused.param_grads[i], "lstm param grad");
-  }
-}
-
-TEST(LstmFusedTest, UnusedFinalStateHMatchesUnfused) {
-  // Loss through c only: h never receives gradient, so the fused o-gate
-  // path must contribute exactly zero — matching the unfused graph where
-  // the o-sigmoid node is unreachable from the loss.
-  Rng rng(43);
-  LSTMCell cell(4, 6, rng);
-  const Tensor x_init = init::gaussian({3, 4}, 1.0f, rng);
-  auto run = [&](bool fused) {
-    Var x = Var::leaf(x_init);
-    for (Var p : cell.parameters()) p.zero_grad();
-    LstmState state = cell.initial_state(3);
-    Var x_proj = cell.project_input(x);
-    LstmState next =
-        fused ? cell.step_projected(x_proj, state) : cell.step_projected_unfused(x_proj, state);
-    Var loss = sum(next.c);
-    loss.backward();
-    std::vector<Tensor> grads{x.grad()};
-    for (const Var& p : cell.parameters()) grads.push_back(p.grad());
-    return grads;
-  };
-  const std::vector<Tensor> unfused = run(false);
-  const std::vector<Tensor> fused = run(true);
-  ASSERT_EQ(unfused.size(), fused.size());
-  for (std::size_t i = 0; i < unfused.size(); ++i) {
-    expect_bitwise(unfused[i], fused[i], "c-only-loss grad");
+  const Run op = run(false);
+  const Run ref = run(true);
+  expect_bitwise(op.out, ref.out, "lstm outputs");
+  ASSERT_EQ(op.grads.size(), ref.grads.size());
+  for (std::size_t i = 0; i < op.grads.size(); ++i) {
+    EXPECT_LE(relative_max_abs(op.grads[i], ref.grads[i]), 1e-5f) << "grad " << i;
   }
 }
 

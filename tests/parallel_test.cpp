@@ -121,9 +121,10 @@ TEST(ParallelDeterminismTest, LinearBitwiseIdenticalAcrossThreadCounts) {
   expect_bitwise_equal(serial.gb, parallel.gb, "linear grad bias (column slices)");
 }
 
-// The batched LSTM projection: one [T·B, 4H] GEMM feeding sliced steps.
+// The LSTM layer: one [T·B, 4H] input projection, one sequence node and
+// one head product.
 struct LstmRun {
-  std::vector<nn::Tensor> outputs;
+  nn::Tensor outputs;
   std::vector<nn::Tensor> param_grads;
 };
 
@@ -132,16 +133,10 @@ LstmRun run_lstm(std::size_t threads) {
   Rng model_rng(91);
   nn::Lstm lstm(7, 6, 3, model_rng, nn::Activation::kTanh);
   Rng rng(92);
-  std::vector<nn::Var> inputs;
-  for (long t = 0; t < 6; ++t) {
-    inputs.push_back(nn::Var::leaf(nn::init::gaussian({4, 7}, 1.0f, rng)));
-  }
-  const std::vector<nn::Var> outs = lstm.forward(inputs);
-  nn::Var total = nn::sum(outs[0]);
-  for (std::size_t t = 1; t < outs.size(); ++t) total = nn::add(total, nn::sum(outs[t]));
-  total.backward();
-  LstmRun run;
-  for (const nn::Var& o : outs) run.outputs.push_back(o.value());
+  nn::Var inputs = nn::Var::leaf(nn::init::gaussian({6 * 4, 7}, 1.0f, rng));
+  const nn::Var outs = lstm.forward(inputs, 4);
+  nn::sum(outs).backward();
+  LstmRun run{outs.value(), {}};
   for (const nn::Var& p : lstm.parameters()) run.param_grads.push_back(p.grad());
   return run;
 }
@@ -149,14 +144,32 @@ LstmRun run_lstm(std::size_t threads) {
 TEST(ParallelDeterminismTest, BatchedLstmBitwiseIdenticalAcrossThreadCounts) {
   const LstmRun serial = run_lstm(1);
   const LstmRun parallel = run_lstm(8);
-  ASSERT_EQ(serial.outputs.size(), parallel.outputs.size());
-  for (std::size_t t = 0; t < serial.outputs.size(); ++t) {
-    expect_bitwise_equal(serial.outputs[t], parallel.outputs[t], "lstm output");
-  }
+  expect_bitwise_equal(serial.outputs, parallel.outputs, "lstm output");
   ASSERT_EQ(serial.param_grads.size(), parallel.param_grads.size());
   for (std::size_t i = 0; i < serial.param_grads.size(); ++i) {
     expect_bitwise_equal(serial.param_grads[i], parallel.param_grads[i], "lstm param grad");
   }
+}
+
+// nn::lstm_sequence forward and backward at the serve shape (T = 504,
+// B = 16, H = 24): the packed recurrent product is serial, and the
+// batched weight gradients go through sgemm and disjoint column slices.
+struct SequenceRun {
+  nn::Tensor h;
+  std::vector<nn::Tensor> grads;  // x_proj, W_hh, bias
+};
+
+SequenceRun run_sequence(std::size_t threads) {
+  ThreadsOverride guard(threads);
+  const long steps = 504, batch = 16, hidden = 24;
+  Rng rng(93);
+  nn::Var x_proj = nn::Var::leaf(nn::init::gaussian({steps * batch, 4 * hidden}, 1.0f, rng));
+  nn::Var weight_h = nn::Var::leaf(nn::init::gaussian({hidden, 4 * hidden}, 0.4f, rng));
+  nn::Var bias = nn::Var::leaf(nn::init::gaussian({4 * hidden}, 0.5f, rng));
+  const nn::Tensor weights = nn::init::gaussian({steps * batch, hidden}, 1.0f, rng);
+  nn::Var h = nn::lstm_sequence(x_proj, weight_h, bias, batch);
+  nn::sum(nn::mul(h, nn::Var::constant(weights))).backward();
+  return {h.value(), {x_proj.grad(), weight_h.grad(), bias.grad()}};
 }
 
 // Scoped override of the GEMM SIMD dispatch level.
@@ -183,6 +196,28 @@ TEST(ParallelDeterminismTest, LinearBitwiseIdenticalAcrossThreadCountsAtEverySim
     expect_bitwise_equal(serial.gx, parallel.gx, name);
     expect_bitwise_equal(serial.gw, parallel.gw, name);
     expect_bitwise_equal(serial.gb, parallel.gb, name);
+  }
+}
+
+TEST(ParallelDeterminismTest, LstmSequenceBitwiseAcrossThreadsAndSimdLevels) {
+  SequenceRun generic;
+  {
+    SimdOverride guard(nn::SimdLevel::kGeneric);
+    generic = run_sequence(1);
+  }
+  for (const nn::SimdLevel level : {nn::SimdLevel::kGeneric, nn::SimdLevel::kAvx2,
+                                    nn::SimdLevel::kAvx512, nn::SimdLevel::kNeon}) {
+    if (!nn::simd_level_available(level)) continue;
+    SimdOverride guard(level);
+    const SequenceRun serial = run_sequence(1);
+    const SequenceRun parallel = run_sequence(8);
+    const char* name = nn::simd_level_name(level);
+    expect_bitwise_equal(serial.h, parallel.h, name);
+    expect_bitwise_equal(serial.h, generic.h, name);
+    for (std::size_t i = 0; i < serial.grads.size(); ++i) {
+      expect_bitwise_equal(serial.grads[i], parallel.grads[i], name);
+      expect_bitwise_equal(serial.grads[i], generic.grads[i], name);
+    }
   }
 }
 

@@ -10,8 +10,10 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/config.h"
@@ -347,6 +349,41 @@ TEST(ServeProtocolTest, WrappingContextShapeRejected) {
   EXPECT_THROW(decode_request(frame), ProtocolError);
 }
 
+// steps is capped so that one SGRW row (steps·width doubles plus its
+// header) fits in a frame; an uncapped u32 could ask for a multi-GB row.
+TEST(ServeProtocolTest, StepsBeyondRowFrameRejected) {
+  WireRequest request;
+  request.channels = 1;
+  request.height = 1;
+  request.width = 4;
+  request.context.assign(4, 0.5);
+  const std::size_t max_row_values = (kMaxFrameBytes - kRowHeaderBytes) / sizeof(double);
+  request.steps = static_cast<long>(max_row_values / 4);
+  EXPECT_NO_THROW(decode_request(encode_request(request)));
+  request.steps += 1;
+  EXPECT_THROW(decode_request(encode_request(request)), ProtocolError);
+  request.steps = 0xFFFFFFFFL;
+  EXPECT_THROW(decode_request(encode_request(request)), ProtocolError);
+}
+
+// Non-finite context values are rejected at decode, before they reach
+// normalization or the model.
+TEST(ServeProtocolTest, NonFiniteContextRejected) {
+  WireRequest request;
+  request.steps = 4;
+  request.channels = 1;
+  request.height = 2;
+  request.width = 2;
+  request.context.assign(4, 0.5);
+  EXPECT_NO_THROW(decode_request(encode_request(request)));
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    request.context[2] = bad;
+    EXPECT_THROW(decode_request(encode_request(request)), ProtocolError) << bad;
+  }
+}
+
 // --- daemon loop ------------------------------------------------------------
 
 // Drive daemon_loop in-process over tmpfile streams: two valid requests
@@ -433,6 +470,60 @@ TEST(ServeDaemonTest, CorruptRequestsAnsweredWithoutDaemonDeath) {
   EXPECT_EQ(cities.at(7).take().values(), direct_city(200).values());
   EXPECT_EQ(cities.at(9).take().values(), direct_city(202).values());
 
+  std::fclose(in);
+  std::fclose(out);
+}
+
+// A context whose channel count differs from the model's is answered
+// with SGER before it is queued: no request reaches a worker, and the
+// daemon keeps serving the next one.
+TEST(ServeDaemonTest, WrongChannelCountAnsweredBeforeQueueing) {
+  obs::Counter& failed = obs::Registry::instance().counter("serve.requests_failed");
+  const std::uint64_t failed_before = failed.value();
+  const core::SpectraGanConfig config = tiny_config();
+  auto make_wire = [&](std::uint64_t id, long channels) {
+    WireRequest w;
+    w.id = id;
+    w.seed = 300 + id;
+    w.steps = config.train_steps;
+    w.channels = channels;
+    w.height = kGrid;
+    w.width = kGrid;
+    w.context = tiny_context(channels).values();
+    return w;
+  };
+
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(in, nullptr);
+  ASSERT_NE(out, nullptr);
+  write_frame(in, encode_request(make_wire(1, config.context_channels - 1)));
+  write_frame(in, encode_request(make_wire(2, config.context_channels)));
+  std::rewind(in);
+
+  Server server(tiny_model(), ServerOptions{.workers = 1, .queue_limit = 2});
+  const DaemonStats stats = daemon_loop(in, out, server);
+  server.stop();
+  EXPECT_EQ(stats.requests, 1);
+  EXPECT_EQ(stats.protocol_errors, 1);
+  EXPECT_EQ(failed.value(), failed_before);  // never reached a worker
+
+  std::rewind(out);
+  std::vector<std::uint8_t> payload;
+  long error_frames = 0;
+  long done_frames = 0;
+  while (read_frame(out, payload)) {
+    if (frame_type(payload) == FrameType::kError) {
+      ++error_frames;
+      EXPECT_NE(decode_error(payload).find("channels"), std::string::npos);
+    } else if (frame_type(payload) == FrameType::kDone) {
+      ++done_frames;
+      EXPECT_EQ(decode_done(payload).id, 2u);
+      EXPECT_EQ(decode_done(payload).state, RequestState::kDone);
+    }
+  }
+  EXPECT_EQ(error_frames, 1);
+  EXPECT_EQ(done_frames, 1);
   std::fclose(in);
   std::fclose(out);
 }
