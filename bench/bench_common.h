@@ -22,7 +22,6 @@
 #include "eval/protocol.h"
 #include "eval/report.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/env.h"
 #include "util/log.h"
 

@@ -12,7 +12,8 @@
 // speedup is the contract; the parallel layer is bench_parallel_scaling's
 // subject).
 
-#include <cmath>
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -20,19 +21,19 @@
 
 #include "bench_report.h"
 #include "core/fourier_bridge.h"
-#include "dsp/fft.h"
 #include "nn/autograd.h"
 #include "nn/conv.h"
 #include "nn/gemm.h"
 #include "nn/init.h"
 #include "nn/lstm.h"
 #include "nn/ops.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "support/fft_bridge_reference.h"
 #include "support/lstm_reference.h"
 #include "util/env.h"
 #include "util/log.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -53,16 +54,48 @@ struct KernelResult {
 
 long g_iters = 200;
 
-// Median-free simple protocol: warm up twice (populates workspace arenas
-// and caches), then average `g_iters` calls — kernels here are far above
-// timer resolution at trainer shapes.
-template <typename Fn>
-double time_kernel(Fn&& fn) {
-  fn();
-  fn();
-  Stopwatch watch;
-  for (long i = 0; i < g_iters; ++i) fn();
-  return watch.seconds() / static_cast<double>(g_iters);
+// Paired protocol: alternate blocks of kPairBlock reference calls and
+// kPairBlock new calls until each side has run `g_iters` times, and
+// average each side. A host speed change during a row then lands on
+// both sides of its ratio instead of on one. Each block starts with one
+// untimed call that re-warms the caches the other side's block evicted
+// (and, the first time, grows the workspace arenas), so each side is
+// timed warm, as when it ran all its calls in one stretch.
+//
+// Probes are off inside the timed loops. The kernels carry SG_SCOPEs that
+// the references they replaced do not, so with SPECTRA_TRACE or
+// SPECTRA_PROFILE set the probes would land on one side of each ratio.
+// The untimed call that opens each block still records, so a traced or
+// profiled run keeps one probe tree per block.
+constexpr long kPairBlock = 10;
+
+template <typename RefFn, typename NewFn>
+void time_pair(KernelResult& r, RefFn&& ref, NewFn&& fresh) {
+  using Clock = std::chrono::steady_clock;
+  const bool profiling = obs::profile_enabled();
+  const bool tracing = obs::trace_enabled();
+  auto time_block = [&](auto& fn, long block) {
+    obs::profile_set_enabled(false);
+    obs::trace_set_enabled(false);
+    const Clock::time_point start = Clock::now();
+    for (long i = 0; i < block; ++i) fn();
+    const Clock::duration elapsed = Clock::now() - start;
+    obs::profile_set_enabled(profiling);
+    obs::trace_set_enabled(tracing);
+    return elapsed;
+  };
+  Clock::duration ref_total{};
+  Clock::duration new_total{};
+  for (long done = 0; done < g_iters; done += kPairBlock) {
+    const long block = std::min(kPairBlock, g_iters - done);
+    ref();
+    ref_total += time_block(ref, block);
+    fresh();
+    new_total += time_block(fresh, block);
+  }
+  const double iters = static_cast<double>(g_iters);
+  r.seconds_ref = std::chrono::duration<double>(ref_total).count() / iters;
+  r.seconds_new = std::chrono::duration<double>(new_total).count() / iters;
 }
 
 // The pre-PR matmul kernel, verbatim: serial triple loop with the
@@ -91,11 +124,12 @@ KernelResult bench_matmul(const std::string& name, long m, long k, long n) {
   r.shape = "[" + std::to_string(m) + "x" + std::to_string(k) + "]*[" + std::to_string(k) + "x" +
             std::to_string(n) + "]";
   r.flops_per_call = 2.0 * static_cast<double>(m) * static_cast<double>(k) * static_cast<double>(n);
-  r.seconds_ref = time_kernel([&] { naive_matmul(m, k, n, a.data(), b.data(), y.data()); });
-  r.seconds_new = time_kernel([&] {
-    nn::gemm::sgemm(nn::gemm::Trans::kNo, nn::gemm::Trans::kNo, m, n, k, a.data(), k, b.data(), n,
-                    y.data(), n, /*accumulate=*/false);
-  });
+  time_pair(
+      r, [&] { naive_matmul(m, k, n, a.data(), b.data(), y.data()); },
+      [&] {
+        nn::gemm::sgemm(nn::gemm::Trans::kNo, nn::gemm::Trans::kNo, m, n, k, a.data(), k,
+                        b.data(), n, y.data(), n, /*accumulate=*/false);
+      });
   return r;
 }
 
@@ -118,8 +152,8 @@ KernelResult bench_conv_forward(const std::string& name, long N, long C, long H,
   nn::InferenceGuard guard;  // forward only: no graph bookkeeping in the timing
   nn::Conv2dSpec direct{.stride = stride, .padding = padding, .impl = nn::Conv2dImpl::kDirect};
   nn::Conv2dSpec lowered{.stride = stride, .padding = padding, .impl = nn::Conv2dImpl::kIm2col};
-  r.seconds_ref = time_kernel([&] { nn::conv2d(x, w, b, direct); });
-  r.seconds_new = time_kernel([&] { nn::conv2d(x, w, b, lowered); });
+  time_pair(r, [&] { nn::conv2d(x, w, b, direct); },
+            [&] { nn::conv2d(x, w, b, lowered); });
   return r;
 }
 
@@ -144,8 +178,8 @@ KernelResult bench_conv_train_step(const std::string& name, long N, long C, long
     x.zero_grad(), w.zero_grad(), b.zero_grad();
     nn::sum(nn::conv2d(x, w, b, spec)).backward();
   };
-  r.seconds_ref = time_kernel([&] { run(nn::Conv2dImpl::kDirect); });
-  r.seconds_new = time_kernel([&] { run(nn::Conv2dImpl::kIm2col); });
+  time_pair(r, [&] { run(nn::Conv2dImpl::kDirect); },
+            [&] { run(nn::Conv2dImpl::kIm2col); });
   return r;
 }
 
@@ -218,14 +252,16 @@ KernelResult bench_lstm_train_step(const std::string& name, long T, long B, long
   r.shape = lb.shape("fwd+bwd");
   // forward + backward ≈ 3× the forward contraction flops.
   r.flops_per_call = 3.0 * lb.forward_flops();
-  r.seconds_ref = time_kernel([&] {
-    lb.zero_params();
-    lb.per_step_loss(/*batched_projection=*/false).backward();
-  });
-  r.seconds_new = time_kernel([&] {
-    lb.zero_params();
-    nn::sum(lb.lstm.forward(lb.inputs, B)).backward();
-  });
+  time_pair(
+      r,
+      [&] {
+        lb.zero_params();
+        lb.per_step_loss(/*batched_projection=*/false).backward();
+      },
+      [&] {
+        lb.zero_params();
+        nn::sum(lb.lstm.forward(lb.inputs, B)).backward();
+      });
   return r;
 }
 
@@ -238,14 +274,16 @@ KernelResult bench_lstm_fused_train(const std::string& name, long T, long B, lon
   r.name = name;
   r.shape = lb.shape("fwd+bwd");
   r.flops_per_call = 3.0 * lb.forward_flops();
-  r.seconds_ref = time_kernel([&] {
-    lb.zero_params();
-    lb.per_step_loss(/*batched_projection=*/true).backward();
-  });
-  r.seconds_new = time_kernel([&] {
-    lb.zero_params();
-    nn::sum(lb.lstm.forward(lb.inputs, B)).backward();
-  });
+  time_pair(
+      r,
+      [&] {
+        lb.zero_params();
+        lb.per_step_loss(/*batched_projection=*/true).backward();
+      },
+      [&] {
+        lb.zero_params();
+        nn::sum(lb.lstm.forward(lb.inputs, B)).backward();
+      });
   return r;
 }
 
@@ -260,16 +298,9 @@ KernelResult bench_lstm_sequence_serve(const std::string& name, long T, long B, 
   r.shape = lb.shape("fwd");
   r.flops_per_call = lb.forward_flops();
   nn::InferenceGuard no_grad;
-  r.seconds_ref = time_kernel([&] { oracle::reference_lstm_forward(lb.lstm, lb.inputs, B); });
-  r.seconds_new = time_kernel([&] { lb.lstm.forward(lb.inputs, B); });
+  time_pair(r, [&] { oracle::reference_lstm_forward(lb.lstm, lb.inputs, B); },
+            [&] { lb.lstm.forward(lb.inputs, B); });
   return r;
-}
-
-std::vector<double> random_real_signal(long n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (double& v : x) v = rng.uniform(-1, 1);
-  return x;
 }
 
 // The Fourier bridge at the serve shape (a [16, 56, 16] spectrum batch,
@@ -288,31 +319,8 @@ KernelResult bench_dft_bridge(const std::string& name, long B, long f_gen, long 
             std::to_string(expand_k);
   r.flops_per_call = 2.0 * static_cast<double>(B * expand_k * base_steps * 2 * f_gen * P);
   nn::InferenceGuard guard;
-  r.seconds_ref =
-      time_kernel([&] { oracle::reference_bridge_forward(spec, base_steps, expand_k); });
-  r.seconds_new = time_kernel([&] { core::irfft_bridge(spec_var, base_steps, expand_k); });
-  return r;
-}
-
-// Awkward-length Bluestein: per-thread scratch reuse vs the historical
-// per-call allocation of the length-m convolution buffer.
-KernelResult bench_rfft_bluestein_fallback(const std::string& name, long n) {
-  const std::vector<double> x = random_real_signal(n, 33);
-  std::vector<dsp::Complex> a(x.begin(), x.end());
-  KernelResult r;
-  r.name = name;
-  r.shape = "bluestein N=" + std::to_string(n);
-  const double nd = static_cast<double>(n);
-  r.flops_per_call = 5.0 * nd * std::log2(nd);
-  std::vector<dsp::Complex> work;
-  r.seconds_ref = time_kernel([&] {
-    work = a;
-    dsp::detail::bluestein_inplace(work, /*inverse=*/false, /*reuse_scratch=*/false);
-  });
-  r.seconds_new = time_kernel([&] {
-    work = a;
-    dsp::detail::bluestein_inplace(work, /*inverse=*/false, /*reuse_scratch=*/true);
-  });
+  time_pair(r, [&] { oracle::reference_bridge_forward(spec, base_steps, expand_k); },
+            [&] { core::irfft_bridge(spec_var, base_steps, expand_k); });
   return r;
 }
 
@@ -366,10 +374,8 @@ int main() {
   results.push_back(bench_lstm_train_step("lstm_train_gt", 168, 6, 28, 24, 16));
   results.push_back(bench_lstm_fused_train("lstm_fused_train", 168, 6, 28, 24, 16));
   results.push_back(bench_lstm_sequence_serve("lstm_sequence_serve", 504, 16, 28, 24, 16));
-  // The Fourier bridge at the serve shape, and the 168-length (hourly
-  // week) Bluestein transform with hoisted scratch.
+  // The Fourier bridge at the serve shape.
   results.push_back(bench_dft_bridge("dft_bridge_serve", 16, 28, 16, 168, 3));
-  results.push_back(bench_rfft_bluestein_fallback("rfft_bluestein_fallback", 168));
 
   std::printf("%-28s %-14s %-14s %-10s %-10s %s\n", "kernel", "ref s/call", "new s/call",
               "ref GF/s", "new GF/s", "speedup");

@@ -109,10 +109,14 @@ MUTABLE_STATIC_ALLOWLIST = {
     "src/nn/autograd.cpp:g_inference_mode",
     # Metrics registry singleton: append-only registration behind a mutex.
     "src/obs/metrics.cpp:registry",
-    # Trace state: leaked singleton + per-thread span buffers by design
-    # (worker threads may outlive main during exit).
+    # Probe state (SG_SCOPE): leaked singleton + per-thread records holding
+    # the profile tree and the trace buffer, by design (worker threads may
+    # outlive main during exit; reports read records after thread exit).
+    "src/obs/profile.cpp:s",
+    "src/obs/profile.cpp:record",
+    # Trace stream sink: leaked singleton (annotated Mutex + atomics) that
+    # the trace export alone owns; drains may run during exit.
     "src/obs/trace.cpp:s",
-    "src/obs/trace.cpp:buffer",
     # Bluestein plan cache: annotated SharedMutex + GUARDED_BY buckets
     # (BluesteinCache); plans are immutable after construction (§6a/§6d).
     "src/dsp/fft.cpp:bluestein_cache",

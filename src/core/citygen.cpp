@@ -127,7 +127,7 @@ void SpectraGan::for_each_generated_patch(
 
 geo::CityTensor SpectraGan::generate_city(const geo::ContextTensor& context, long steps,
                                           Rng& rng) const {
-  SG_PROFILE_SCOPE("core/generate_city");
+  SG_SCOPE("core/generate_city");
   geo::CityTensorSink sink(steps, context.height(), context.width());
   generate_city_streamed(context, steps, rng, sink);
   return sink.take();
@@ -136,7 +136,7 @@ geo::CityTensor SpectraGan::generate_city(const geo::ContextTensor& context, lon
 void SpectraGan::generate_city_streamed(const geo::ContextTensor& context, long steps, Rng& rng,
                                         geo::RowSink& sink,
                                         geo::OverlapAggregation aggregation) const {
-  SG_PROFILE_SCOPE("core/generate_city_streamed");
+  SG_SCOPE("core/generate_city_streamed");
   ClampRowSink clamped(sink);
   geo::StripAccumulator accumulator(steps, context.height(), context.width(), clamped,
                                     aggregation);
@@ -151,7 +151,7 @@ void SpectraGan::generate_city_streamed(const geo::ContextTensor& context, long 
 geo::CityTensor SpectraGan::generate_city_dense(const geo::ContextTensor& context, long steps,
                                                 Rng& rng,
                                                 geo::OverlapAggregation aggregation) const {
-  SG_PROFILE_SCOPE("core/generate_city_dense");
+  SG_SCOPE("core/generate_city_dense");
   geo::OverlapAccumulator accumulator(steps, context.height(), context.width(), aggregation);
   for_each_generated_patch(
       context, steps, rng,

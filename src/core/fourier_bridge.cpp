@@ -4,7 +4,6 @@
 #include "nn/gemm.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "util/error.h"
 
 namespace spectra::core {
@@ -14,8 +13,7 @@ using nn::Var;
 using nn::gemm::Trans;
 
 Var irfft_bridge(const Var& spectrum, long base_steps, long expand_k) {
-  SG_TRACE_SPAN("core/irfft_bridge");
-  SG_PROFILE_SCOPE("core/irfft_bridge");
+  SG_SCOPE("core/irfft_bridge");
   static obs::Counter& calls = obs::Registry::instance().counter("fourier_bridge.calls");
   static obs::Histogram& seconds =
       obs::Registry::instance().histogram("fourier_bridge.seconds");
@@ -45,8 +43,7 @@ Var irfft_bridge(const Var& spectrum, long base_steps, long expand_k) {
       std::move(out), {spectrum},
       [B, two_f, P, t_out, basis = std::move(basis)](const Tensor& g, std::vector<Var>& parents) {
         if (!parents[0].requires_grad()) return;
-        SG_TRACE_SPAN("core/irfft_bridge_backward");
-        SG_PROFILE_SCOPE("core/irfft_bridge_backward");
+        SG_SCOPE("core/irfft_bridge_backward");
         // The exact adjoint: gs_b += W^T * g_b. W's zero columns give
         // im(DC) and im(Nyquist) their zero gradient.
         Tensor& gs = parents[0].grad_storage();

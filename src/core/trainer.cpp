@@ -8,7 +8,6 @@
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "obs/train_log.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -121,8 +120,7 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
                              const train::CheckpointOptions& ckpt) {
   SG_CHECK(sampler.train_steps() == config_.train_steps,
            "sampler window length must equal config.train_steps");
-  SG_TRACE_SPAN("train/run");
-  SG_PROFILE_SCOPE("train/run");
+  SG_SCOPE("train/run");
   Stopwatch watch;
 
   obs::TrainLogSink train_log;  // $SPECTRA_TRAIN_LOG; disabled when unset
@@ -138,8 +136,7 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
   long start_it = 0;
   if (!ckpt.dir.empty()) {
     if (std::optional<train::TrainingSnapshot> snap = train::load_latest(ckpt.dir)) {
-      SG_TRACE_SPAN("checkpoint/restore");
-      SG_PROFILE_SCOPE("checkpoint/restore");
+      SG_SCOPE("checkpoint/restore");
       restore_params(snap->gen_params, generator_parameters(), "generator");
       restore_params(snap->disc_params, discriminator_parameters(), "discriminator");
       opt_g.restore_state(static_cast<long>(snap->opt_g.step_count), std::move(snap->opt_g.m),
@@ -174,8 +171,7 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
     // Masked-FFT target y^q for the spectrum branch (Eq. 1's L1 target).
     Var context, real_traffic, noise, masked_target;
     {
-      SG_TRACE_SPAN("train/sample");
-      SG_PROFILE_SCOPE("train/sample");
+      SG_SCOPE("train/sample");
       const data::PatchBatch batch = sampler.sample(config_.batch, rng);
       context = Var::constant(context_tensor(batch));
       real_traffic = Var::constant(traffic_tensor(batch));
@@ -189,15 +185,13 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
     // Single generator forward reused by both optimization steps.
     GeneratorOutput fake;
     {
-      SG_TRACE_SPAN("train/g_forward");
-      SG_PROFILE_SCOPE("train/g_forward");
+      SG_SCOPE("train/g_forward");
       fake = generator_forward(context, noise, config_.train_steps, /*expand_k=*/1);
     }
 
     // --- discriminator step (fakes detached via value copies) ---
     {
-      SG_TRACE_SPAN("train/d_step");
-      SG_PROFILE_SCOPE("train/d_step");
+      SG_SCOPE("train/d_step");
       Var hidden_r = encoder_r_->forward(context);
       Var d_loss;
       auto accumulate = [&d_loss](Var term) {
@@ -214,8 +208,7 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
 
       opt_d.zero_grad();
       {
-        SG_TRACE_SPAN("train/backward");
-        SG_PROFILE_SCOPE("train/backward");
+        SG_SCOPE("train/backward");
         d_loss.backward();
       }
       grad_norm_d = opt_d.clip_grad_norm(config_.grad_clip);
@@ -225,8 +218,7 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
 
     // --- generator step ---
     {
-      SG_TRACE_SPAN("train/g_step");
-      SG_PROFILE_SCOPE("train/g_step");
+      SG_SCOPE("train/g_step");
       Var hidden_r = encoder_r_->forward(context);
       Var g_adv;
       auto accumulate = [&g_adv](Var term) {
@@ -246,8 +238,7 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
       // The backward pass also deposits gradients into discriminator
       // parameters; they are discarded at the next opt_d.zero_grad().
       {
-        SG_TRACE_SPAN("train/backward");
-        SG_PROFILE_SCOPE("train/backward");
+        SG_SCOPE("train/backward");
         g_loss.backward();
       }
       grad_norm_g = opt_g.clip_grad_norm(config_.grad_clip);

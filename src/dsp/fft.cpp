@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "util/error.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -111,17 +110,14 @@ const BluesteinPlan& bluestein_plan(long n, int sign) {
 // Bluestein's algorithm: express an arbitrary-length DFT as a convolution,
 // evaluated with a zero-padded power-of-two FFT. The length-m work buffer
 // is per-thread grow-only scratch (it cannot live on the plan: plans are
-// shared read-only across pool workers); `reuse_scratch=false` is the
-// historical per-call-allocating behavior, kept only as the bench
-// baseline for the hoist (detail::bluestein_inplace).
-void bluestein_transform(std::vector<Complex>& a, int sign, bool reuse_scratch) {
+// shared read-only across pool workers).
+void bluestein(std::vector<Complex>& a, int sign) {
   const long n = static_cast<long>(a.size());
   const BluesteinPlan& plan = bluestein_plan(n, sign);
   const long m = plan.m;
 
   thread_local std::vector<Complex> scratch;
-  std::vector<Complex> local;
-  std::vector<Complex>& u = reuse_scratch ? scratch : local;
+  std::vector<Complex>& u = scratch;
   u.assign(static_cast<std::size_t>(m), Complex(0.0, 0.0));
   for (long k = 0; k < n; ++k) {
     u[static_cast<std::size_t>(k)] =
@@ -139,8 +135,6 @@ void bluestein_transform(std::vector<Complex>& a, int sign, bool reuse_scratch) 
   }
 }
 
-void bluestein(std::vector<Complex>& a, int sign) { bluestein_transform(a, sign, true); }
-
 }  // namespace
 
 void fft_inplace(std::vector<Complex>& a, bool inverse) {
@@ -153,7 +147,7 @@ void fft_inplace(std::vector<Complex>& a, bool inverse) {
   static obs::Histogram& seconds = obs::Registry::instance().histogram("fft.seconds");
   calls.inc();
   obs::ScopedTimer timer(seconds);
-  SG_PROFILE_SCOPE("dsp/fft");
+  SG_SCOPE("dsp/fft");
   if (obs::profile_enabled()) {
     // 5·N·log2(N) real flops (the standard complex radix-2 count);
     // traffic is the in-place buffer read and written once per pass.
@@ -185,7 +179,7 @@ std::vector<Complex> ifft(std::vector<Complex> a) {
 }
 
 std::vector<Complex> rfft(const std::vector<double>& x) {
-  SG_TRACE_SPAN("fft/rfft");
+  SG_SCOPE("fft/rfft");
   const long n = static_cast<long>(x.size());
   SG_CHECK(n >= 1, "rfft of empty signal");
   std::vector<Complex> a(x.begin(), x.end());
@@ -195,7 +189,7 @@ std::vector<Complex> rfft(const std::vector<double>& x) {
 }
 
 std::vector<double> irfft(const std::vector<Complex>& spectrum, long n) {
-  SG_TRACE_SPAN("fft/irfft");
+  SG_SCOPE("fft/irfft");
   SG_CHECK(n >= 1, "irfft target length must be positive");
   SG_CHECK(static_cast<long>(spectrum.size()) == n / 2 + 1,
            "irfft: spectrum size must be n/2+1 (got " + std::to_string(spectrum.size()) +
@@ -214,19 +208,5 @@ std::vector<double> irfft(const std::vector<Complex>& spectrum, long n) {
   }
   return out;
 }
-
-namespace detail {
-
-void bluestein_inplace(std::vector<Complex>& a, bool inverse, bool reuse_scratch) {
-  const long n = static_cast<long>(a.size());
-  if (n <= 1) return;
-  bluestein_transform(a, inverse ? +1 : -1, reuse_scratch);
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (Complex& c : a) c *= inv_n;
-  }
-}
-
-}  // namespace detail
 
 }  // namespace spectra::dsp

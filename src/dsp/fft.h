@@ -36,14 +36,4 @@ std::vector<double> irfft(const std::vector<Complex>& spectrum, long n);
 // True if n is a power of two (n >= 1).
 bool is_power_of_two(long n);
 
-namespace detail {
-
-// Test/bench hook. Production code routes through fft_inplace/rfft.
-// Chirp-z (Bluestein) transform at any length, including powers of two.
-// `reuse_scratch=false` reproduces the historical per-call-allocating work
-// buffer (the baseline for the scratch-hoist bench entry).
-void bluestein_inplace(std::vector<Complex>& a, bool inverse, bool reuse_scratch = true);
-
-}  // namespace detail
-
 }  // namespace spectra::dsp

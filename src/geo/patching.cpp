@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -131,8 +130,7 @@ void OverlapAccumulator::add_patch(const PatchWindow& window, const PatchSpec& s
 }
 
 CityTensor OverlapAccumulator::finalize() const {
-  SG_TRACE_SPAN("geo/assemble_city");
-  SG_PROFILE_SCOPE("geo/assemble_city");
+  SG_SCOPE("geo/assemble_city");
   static obs::Histogram& seconds = obs::Registry::instance().histogram("geo.assemble_seconds");
   obs::ScopedTimer timer(seconds);
   CityTensor out = sum_;

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "util/env.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -215,8 +214,7 @@ void StripAccumulator::add_patch(const PatchWindow& window, const PatchSpec& spe
 
 void StripAccumulator::finalize_rows_below(long row) {
   if (band_start_ >= row) return;
-  SG_TRACE_SPAN("geo/strip_finalize");
-  SG_PROFILE_SCOPE("geo/strip_finalize");
+  SG_SCOPE("geo/strip_finalize");
   static obs::Counter& strips = obs::Registry::instance().counter("geo.strips_finalized");
   static obs::MaxGauge& peak =
       obs::Registry::instance().max_gauge("geo.strip_resident_bytes_peak");

@@ -316,7 +316,7 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, const Conv2dSpe
 
   Tensor y({g.N, g.O, g.Ho, g.Wo});
   {
-    SG_PROFILE_SCOPE("nn/conv2d_forward");
+    SG_SCOPE("nn/conv2d_forward");
     add_conv_work(g, /*passes=*/1);
     if (use_gemm) {
       forward_gemm(g, x.data(), w.data(), b.data(), y.data());
@@ -332,7 +332,7 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, const Conv2dSpe
         const bool need_dx = parents[0].requires_grad();
         const bool need_dw = parents[1].requires_grad();
         const bool need_db = parents[2].requires_grad();
-        SG_PROFILE_SCOPE("nn/conv2d_backward");
+        SG_SCOPE("nn/conv2d_backward");
         // dx and dw are each one more contraction of the forward's shape.
         add_conv_work(g, (need_dx ? 1 : 0) + (need_dw ? 1 : 0));
 

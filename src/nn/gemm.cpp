@@ -214,7 +214,7 @@ void sgemm(Trans ta, Trans tb, long m, long n, long k, const float* a, long lda,
     return;
   }
   calls_counter().inc();
-  SG_PROFILE_SCOPE("nn/gemm");
+  SG_SCOPE("nn/gemm");
   if (obs::profile_enabled()) {
     // 2·M·N·K flops; traffic counts each operand once plus the C
     // write-back (the roofline convention, ignoring blocking reuse).

@@ -56,7 +56,7 @@ Var lstm_sequence(const Var& x_proj, const Var& weight_h, const Var& bias, long 
   const bool record = !InferenceGuard::active() &&
                       (x_proj.requires_grad() || weight_h.requires_grad() || bias.requires_grad());
 
-  SG_PROFILE_SCOPE("nn/lstm_step");
+  SG_SCOPE("nn/lstm_step");
   add_sequence_work(steps, batch, hidden);
 
   // A recorded sequence keeps every step's gates and cell state; an
@@ -115,7 +115,7 @@ Var lstm_sequence(const Var& x_proj, const Var& weight_h, const Var& bias, long 
       [saved, steps, batch, hidden, gates, bg, bh](const Tensor& dh_out,
                                                    std::vector<Var>& parents) {
         if (dh_out.numel() != steps * bh) return;  // no gradient reached h
-        SG_PROFILE_SCOPE("nn/lstm_step");
+        SG_SCOPE("nn/lstm_step");
         add_sequence_work(steps, batch, hidden);
         Var& p_xproj = parents[0];
         Var& p_wh = parents[1];
@@ -240,7 +240,7 @@ Var Lstm::head_outputs(const Var& hidden) const {
 }
 
 Var Lstm::forward(const Var& inputs, long batch) const {
-  SG_PROFILE_SCOPE("nn/lstm_forward");
+  SG_SCOPE("nn/lstm_forward");
   // The projection is a statement-local temporary: under InferenceGuard
   // it is freed before the head runs.
   const Var hidden = lstm_sequence(cell_.project_input(inputs), cell_.weight_h(), cell_.bias(), batch);
@@ -248,7 +248,7 @@ Var Lstm::forward(const Var& inputs, long batch) const {
 }
 
 Var Lstm::forward_repeat(const Var& input, long steps) const {
-  SG_PROFILE_SCOPE("nn/lstm_forward");
+  SG_SCOPE("nn/lstm_forward");
   SG_CHECK(steps > 0, "forward_repeat requires steps > 0");
   // The input is static across steps, so one projection serves all of
   // them.

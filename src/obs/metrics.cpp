@@ -3,7 +3,6 @@
 #include "obs/profile.h"
 #include "obs/run_manifest.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 
 #include <algorithm>
 #include <cmath>
@@ -30,16 +29,6 @@ std::string format_double(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 // SplitMix64 finalizer: the reservoir's random source is a pure hash of
@@ -171,15 +160,14 @@ Registry& Registry::instance() {
     }
     return r;
   }();
-  // The other obs env hooks (profiler, sampler, manifest) fire here
+  // The other obs env hooks (probes, sampler, manifest) fire here
   // because this is the one obs symbol every binary references — their
   // own translation units would otherwise be dropped from the static
   // archive along with any TU-level initializers. The hooks never call
   // Registry::instance() on this thread (the sampler only spawns its
   // thread), so the nested static init cannot recurse.
   static const bool hooks_installed = [] {
-    detail::trace_env_autostart();
-    detail::profile_env_autostart();
+    detail::probes_env_autostart();
     detail::sampler_env_autostart();
     detail::run_manifest_env_autostart();
     return true;
@@ -322,6 +310,16 @@ void Registry::reset_values() {
 std::string metrics_snapshot() { return Registry::instance().text_snapshot(); }
 
 std::string metrics_snapshot_json() { return Registry::instance().json_snapshot(); }
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out;
+}
 
 void dump_metrics(const std::string& path) {
   std::string target = path;

@@ -146,6 +146,9 @@ std::string metrics_snapshot_json();  // JSON object
 // is empty. No-op when neither names a file.
 void dump_metrics(const std::string& path = "");
 
+// `s` with `"` and `\` backslash-escaped, for the obs JSON writers.
+std::string json_escape(const std::string& s);
+
 // RAII seconds timer: records the scope's wall time into a histogram.
 class ScopedTimer {
  public:

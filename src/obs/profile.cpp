@@ -1,7 +1,5 @@
 #include "obs/profile.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -11,92 +9,81 @@
 #include <sstream>
 #include <vector>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "obs/metrics.h"
+#include "obs/recorder.h"
+#include "obs/trace.h"
 
 namespace spectra::obs {
 
 namespace detail {
 
-// One node of a thread's timing tree. Nodes are created on first entry
-// and leaked (threads may outlive main during shutdown; report code may
-// walk a tree while its owner is still recording).
-struct ProfileNode {
-  const char* name = nullptr;
-  ProfileNode* parent = nullptr;
-  std::vector<ProfileNode*> children;
-  std::uint64_t calls = 0;
-  std::uint64_t incl_ns = 0;
-  double flops = 0.0;
-  double bytes = 0.0;
-};
+std::atomic<unsigned> g_probes{0};
+
+void set_probes(unsigned bits, bool enabled) {
+  if (enabled) {
+    g_probes.fetch_or(bits, std::memory_order_relaxed);
+  } else {
+    g_probes.fetch_and(~bits, std::memory_order_relaxed);
+  }
+}
+
+ProbeState& probe_state() {
+  static ProbeState* s = new ProbeState();  // leaked: threads may still record during exit
+  return *s;
+}
+
+ThreadRecord& thread_record() {
+  thread_local ThreadRecord* record = [] {
+    auto* r = new ThreadRecord();  // leaked: reports and drains read it after thread exit
+    ProbeState& s = probe_state();
+    MutexLock lock(s.mutex);
+    r->tid = s.next_tid++;
+    s.records.push_back(r);
+    return r;
+  }();
+  return *record;
+}
+
+std::uint64_t probe_now_ns() {
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                        std::chrono::steady_clock::now() - probe_state().origin)
+                                        .count());
+}
+
+void probes_env_autostart() {
+  // sg-lint: allow(mutable-static) once-guard for the env autostart hook
+  static bool done = false;
+  if (done) return;
+  done = true;
+  // `1`/`true` only enable; anything else is additionally the JSON dump
+  // path (profile_dump reads the knob again at exit).
+  if (std::getenv("SPECTRA_PROFILE") != nullptr) {
+    profile_set_enabled(true);
+    std::atexit([] {
+      std::fputs(profile_report_text().c_str(), stderr);
+      profile_dump();
+    });
+  }
+  const char* trace = std::getenv("SPECTRA_TRACE");
+  if (trace != nullptr && trace[0] != '\0') {
+    trace_set_enabled(true);
+    trace_stream_open(trace);
+    std::atexit([] { trace_stream_close(); });
+  }
+}
 
 }  // namespace detail
 
 namespace {
 
 using detail::ProfileNode;
+using detail::ThreadRecord;
 
-// Per-thread tree. Mutations come only from the owning thread; the mutex
-// exists so report/reset can read from other threads. Uncontended in the
-// hot path (same discipline as the trace buffers).
-struct ThreadTree {
-  Mutex mutex SG_ACQUIRED_AFTER(lock_order::obs)
-      SG_ACQUIRED_BEFORE(lock_order::fft_cache);
-  ProfileNode root SG_GUARDED_BY(mutex);
-  ProfileNode* current SG_GUARDED_BY(mutex) = &root;
-};
-
-// Steady-clock now as nanoseconds since the clock's epoch.
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct ProfileState {
-  Mutex mutex SG_ACQUIRED_AFTER(lock_order::obs)
-      SG_ACQUIRED_BEFORE(lock_order::fft_cache);
-  std::vector<ThreadTree*> trees SG_GUARDED_BY(mutex);  // leaked; one per thread ever seen
-  // Time origin in steady-clock nanoseconds. Atomic, not guarded:
-  // profile_reset rewrites it while every scope exit on every thread
-  // reads it through profile_now_ns, and the hot path must stay
-  // lock-free.
-  std::atomic<std::int64_t> origin_ns{steady_now_ns()};
-};
-
-ProfileState& state() {
-  // sg-lint: allow(mutable-static) leaked profiler singleton: worker threads may still record during exit
-  static ProfileState* s = new ProfileState();
-  return *s;
-}
-
-ThreadTree& thread_tree() {
-  // sg-lint: allow(mutable-static) per-thread profile tree, leaked so report can walk it after thread exit
-  thread_local ThreadTree* tree = [] {
-    auto* t = new ThreadTree();
-    ProfileState& s = state();
-    MutexLock lock(s.mutex);
-    s.trees.push_back(t);
-    return t;
-  }();
-  return *tree;
-}
-
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  return out;
-}
-
-// Primary autostart: runs at static init in any binary that opens
-// profile scopes (they reference this TU). The Registry::instance()
-// hook is the backstop; the once-guard makes the pair idempotent.
-const bool g_profile_env_init = [] {
-  detail::profile_env_autostart();
+// Primary autostart: runs at static init in any binary that opens scopes
+// (they reference this TU). The Registry::instance() hook is the
+// backstop; the once-guard makes the pair idempotent.
+const bool g_probes_env_init = [] {
+  detail::probes_env_autostart();
   return true;
 }();
 
@@ -121,7 +108,7 @@ MergedNode& merged_child(MergedNode& parent, const char* name) {
   return parent.children.back();
 }
 
-// `tree->mutex` must be held by the caller for the root of the walk.
+// The record's mutex must be held by the caller for the root of the walk.
 void merge_into(MergedNode& dst, const ProfileNode& src) {
   dst.calls += src.calls;
   dst.incl_ns += src.incl_ns;
@@ -135,11 +122,11 @@ void merge_into(MergedNode& dst, const ProfileNode& src) {
 // Snapshot every thread's tree into one merged root (name == nullptr).
 MergedNode merged_snapshot() {
   MergedNode root;
-  ProfileState& s = state();
+  detail::ProbeState& s = detail::probe_state();
   MutexLock registry_lock(s.mutex);
-  for (ThreadTree* tree : s.trees) {
-    MutexLock lock(tree->mutex);
-    merge_into(root, tree->root);
+  for (ThreadRecord* record : s.records) {
+    MutexLock lock(record->mutex);
+    merge_into(root, record->root);
   }
   return root;
 }
@@ -196,81 +183,63 @@ void format_json(const MergedNode& node, std::ostringstream& out) {
 }
 
 double wall_seconds() {
-  const std::int64_t elapsed_ns =
-      steady_now_ns() - state().origin_ns.load(std::memory_order_relaxed);
-  return static_cast<double>(elapsed_ns) * 1e-9;
+  const std::uint64_t start = detail::probe_state().wall_start_ns.load(std::memory_order_relaxed);
+  return static_cast<double>(detail::probe_now_ns() - start) * 1e-9;
 }
 
 }  // namespace
 
-namespace detail {
-
-std::atomic<bool> g_profile_enabled{false};
-
-std::uint64_t profile_now_ns() {
-  return static_cast<std::uint64_t>(
-      steady_now_ns() - state().origin_ns.load(std::memory_order_relaxed));
-}
-
-ProfileNode* profile_enter(const char* name) {
-  ThreadTree& tree = thread_tree();
-  MutexLock lock(tree.mutex);
-  ProfileNode* parent = tree.current;
-  for (ProfileNode* child : parent->children) {
-    // String literals make pointer identity the common case; the strcmp
-    // covers the same name spelled in two translation units.
-    if (child->name == name || std::strcmp(child->name, name) == 0) {
-      tree.current = child;
-      return child;
+void Scope::enter(const char* name, unsigned probes) {
+  probes_ = probes;
+  name_ = name;
+  if ((probes & detail::kProfileProbes) != 0) {
+    ThreadRecord& record = detail::thread_record();
+    MutexLock lock(record.mutex);
+    ProfileNode* parent = record.current;
+    for (ProfileNode* child : parent->children) {
+      // String literals make pointer identity the common case; the strcmp
+      // covers the same name spelled in two translation units.
+      if (child->name == name || std::strcmp(child->name, name) == 0) {
+        node_ = child;
+        break;
+      }
     }
+    if (node_ == nullptr) {
+      node_ = new ProfileNode();  // leaked with the tree
+      node_->name = name;
+      node_->parent = parent;
+      parent->children.push_back(node_);
+    }
+    record.current = node_;
   }
-  auto* node = new ProfileNode();  // leaked with the tree
-  node->name = name;
-  node->parent = parent;
-  parent->children.push_back(node);
-  tree.current = node;
-  return node;
+  start_ns_ = detail::probe_now_ns();
 }
 
-void profile_exit(ProfileNode* node, std::uint64_t start_ns) {
-  ThreadTree& tree = thread_tree();
-  MutexLock lock(tree.mutex);
-  node->calls += 1;
-  node->incl_ns += profile_now_ns() - start_ns;
-  // Pop to the scope's own parent (not current->parent) so an exit after
-  // profile_reset or mismatched nesting cannot walk off the tree.
-  tree.current = node->parent != nullptr ? node->parent : &tree.root;
-}
-
-void profile_env_autostart() {
-  // sg-lint: allow(mutable-static) once-guard for the env autostart hook
-  static bool done = false;
-  if (done) return;
-  done = true;
-  // `1`/`true` only enable; anything else is additionally the JSON dump
-  // path (profile_dump reads the knob again at exit).
-  if (std::getenv("SPECTRA_PROFILE") != nullptr) {
-    g_profile_enabled.store(true, std::memory_order_relaxed);
-    std::atexit([] {
-      std::fputs(profile_report_text().c_str(), stderr);
-      profile_dump();
-    });
+void Scope::exit() {
+  const std::uint64_t dur_ns = detail::probe_now_ns() - start_ns_;
+  const bool traced = (probes_ & detail::kTraceProbes) != 0;
+  ThreadRecord& record = detail::thread_record();
+  {
+    MutexLock lock(record.mutex);
+    if (node_ != nullptr) {
+      node_->calls += 1;
+      node_->incl_ns += dur_ns;
+      // Pop to the scope's own parent (not current->parent) so an exit
+      // after profile_reset or mismatched nesting cannot walk off the tree.
+      record.current = node_->parent != nullptr ? node_->parent : &record.root;
+    }
+    if (traced) record.events.push_back({name_, start_ns_, dur_ns});
   }
-}
-
-}  // namespace detail
-
-void profile_set_enabled(bool enabled) {
-  detail::g_profile_enabled.store(enabled, std::memory_order_relaxed);
+  if (traced) detail::trace_event_recorded();
 }
 
 void profile_add_work(double flops, double bytes) {
   if (!profile_enabled()) return;
-  ThreadTree& tree = thread_tree();
-  MutexLock lock(tree.mutex);
-  if (tree.current == &tree.root) return;  // no open scope on this thread
-  tree.current->flops += flops;
-  tree.current->bytes += bytes;
+  ThreadRecord& record = detail::thread_record();
+  MutexLock lock(record.mutex);
+  if (record.current == &record.root) return;  // no open scope on this thread
+  record.current->flops += flops;
+  record.current->bytes += bytes;
 }
 
 std::string profile_report_text() {
@@ -311,18 +280,18 @@ void profile_dump(const std::string& path) {
 }
 
 void profile_reset() {
-  ProfileState& s = state();
+  detail::ProbeState& s = detail::probe_state();
   {
     MutexLock registry_lock(s.mutex);
-    for (ThreadTree* tree : s.trees) {
-      MutexLock lock(tree->mutex);
-      // Children stay allocated (scopes may hold pointers); zero the stats
-      // and detach them from the tree.
-      tree->root.children.clear();
-      tree->current = &tree->root;
+    for (ThreadRecord* record : s.records) {
+      MutexLock lock(record->mutex);
+      std::vector<ProfileNode*>& children = record->root.children;
+      record->detached.insert(record->detached.end(), children.begin(), children.end());
+      children.clear();
+      record->current = &record->root;
     }
   }
-  s.origin_ns.store(steady_now_ns(), std::memory_order_relaxed);
+  s.wall_start_ns.store(detail::probe_now_ns(), std::memory_order_relaxed);
 }
 
 }  // namespace spectra::obs

@@ -1,16 +1,23 @@
-// Hierarchical wall-clock profiler: nestable RAII scopes aggregate into a
-// per-thread parent→child timing tree (call counts, inclusive nanoseconds,
-// and attributed flop/byte work), merged across threads at report time.
+// Probes: one RAII SG_SCOPE feeds both the hierarchical wall-clock
+// profiler and the Chrome trace (obs/trace.h).
 //
-// Profiling is off by default. Setting SPECTRA_PROFILE enables it at
-// startup and registers an atexit report: the text tree always goes to
-// stderr; when the value is a path (anything other than `1`/`true`) the
-// JSON tree is also written there. Tests toggle it with
-// profile_set_enabled(). When disabled, SG_PROFILE_SCOPE costs one
-// relaxed atomic load and a branch — the same contract as SG_TRACE_SPAN.
+// A scope reads the steady clock once on entry and once on exit. When
+// profiling is on, that interval is one call of the named child of the
+// thread's current node in a per-thread parent→child timing tree (call
+// counts, inclusive nanoseconds and attributed flop/byte work), merged
+// across threads at report time. When tracing is on, the same two
+// timestamps become one Chrome "X" event. When both are off, a scope
+// costs one relaxed atomic load and a branch.
+//
+// Both are off by default. SPECTRA_PROFILE enables profiling at startup
+// and registers an atexit report: the text tree always goes to stderr;
+// when the value is a path (anything other than `1`/`true`) the JSON tree
+// is also written there. SPECTRA_TRACE=<file> enables tracing (see
+// obs/trace.h). Tests toggle them with profile_set_enabled() and
+// trace_set_enabled().
 //
 //   void d_step() {
-//     SG_PROFILE_SCOPE("train/d_step");
+//     SG_SCOPE("train/d_step");
 //     ...
 //   }
 //
@@ -29,32 +36,30 @@
 namespace spectra::obs {
 
 namespace detail {
-extern std::atomic<bool> g_profile_enabled;
+// Which probe consumers are on: a bit set of kProfileProbes and
+// kTraceProbes, read once per scope entry.
+inline constexpr unsigned kProfileProbes = 1;
+inline constexpr unsigned kTraceProbes = 2;
+extern std::atomic<unsigned> g_probes;
+
+// Set or clear `bits` in g_probes.
+void set_probes(unsigned bits, bool enabled);
 
 struct ProfileNode;
 
-// Nanoseconds since the process profile origin (monotonic clock).
-std::uint64_t profile_now_ns();
-
-// Descend into (find-or-create) the named child of the calling thread's
-// current node and make it current. Returns the entered node.
-ProfileNode* profile_enter(const char* name);
-
-// Record one call of `start_ns`..now into `node` and pop back to its
-// parent.
-void profile_exit(ProfileNode* node, std::uint64_t start_ns);
-
-// Idempotent SPECTRA_PROFILE autostart hook, invoked from
-// Registry::instance() so the static-archive linker cannot drop it.
-void profile_env_autostart();
+// Idempotent SPECTRA_PROFILE / SPECTRA_TRACE autostart hook, invoked
+// from Registry::instance() so the static-archive linker cannot drop it.
+void probes_env_autostart();
 }  // namespace detail
 
 inline bool profile_enabled() {
-  return detail::g_profile_enabled.load(std::memory_order_relaxed);
+  return (detail::g_probes.load(std::memory_order_relaxed) & detail::kProfileProbes) != 0;
 }
 
 // Runtime toggle (SPECTRA_PROFILE flips it on during static init).
-void profile_set_enabled(bool enabled);
+inline void profile_set_enabled(bool enabled) {
+  detail::set_probes(detail::kProfileProbes, enabled);
+}
 
 // Attribute `flops` floating-point operations and `bytes` of memory
 // traffic to the innermost open scope on this thread. No-op when
@@ -80,42 +85,42 @@ void profile_dump(const std::string& path = "");
 // safe while no scopes are open. Tests only.
 void profile_reset();
 
-// Scoped profile node: enters the named child at construction, records
-// one call at destruction. `name` must be a string literal (node
-// identity is the pointer first, contents second).
-class ProfileScope {
+// Scoped probe. `name` must be a string literal (profile node identity is
+// the pointer first, contents second; trace events keep the pointer).
+class Scope {
  public:
-  explicit ProfileScope(const char* name) {
-    if (profile_enabled()) {
-      node_ = detail::profile_enter(name);
-      start_ns_ = detail::profile_now_ns();
-    }
+  explicit Scope(const char* name) {
+    const unsigned probes = detail::g_probes.load(std::memory_order_relaxed);
+    if (probes != 0) enter(name, probes);
   }
-  ~ProfileScope() {
-    if (node_ != nullptr) detail::profile_exit(node_, start_ns_);
+  ~Scope() {
+    if (probes_ != 0) exit();
   }
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
  private:
-  detail::ProfileNode* node_ = nullptr;  // nullptr while profiling is disabled
+  void enter(const char* name, unsigned probes);
+  void exit();
+
+  unsigned probes_ = 0;  // consumers on at entry; 0 while probes are off
+  const char* name_ = nullptr;
+  detail::ProfileNode* node_ = nullptr;  // nullptr unless profiling at entry
   std::uint64_t start_ns_ = 0;
 };
 
 }  // namespace spectra::obs
 
-#define SG_PROFILE_CONCAT_INNER(a, b) a##b
-#define SG_PROFILE_CONCAT(a, b) SG_PROFILE_CONCAT_INNER(a, b)
+#define SG_SCOPE_CONCAT_INNER(a, b) a##b
+#define SG_SCOPE_CONCAT(a, b) SG_SCOPE_CONCAT_INNER(a, b)
 
-// `name` must be a string literal (or otherwise outlive the process).
 // -DSPECTRA_STRIP_PROBES compiles the scope away entirely; the CI
 // obs-overhead job builds a stripped twin to measure what the disabled
 // probes cost against truly probe-free code.
 #if defined(SPECTRA_STRIP_PROBES)
-#define SG_PROFILE_SCOPE(name) \
-  do {                         \
+#define SG_SCOPE(name) \
+  do {                 \
   } while (false)
 #else
-#define SG_PROFILE_SCOPE(name) \
-  ::spectra::obs::ProfileScope SG_PROFILE_CONCAT(sg_profile_scope_, __COUNTER__)(name)
+#define SG_SCOPE(name) ::spectra::obs::Scope SG_SCOPE_CONCAT(sg_scope_, __COUNTER__)(name)
 #endif

@@ -38,16 +38,6 @@ namespace spectra::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 std::string format_double(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", value);

@@ -1,14 +1,16 @@
 #include "obs/trace.h"
 
-#include <chrono>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -16,176 +18,89 @@ namespace spectra::obs {
 
 namespace {
 
-struct TraceEvent {
-  const char* name;
-  std::uint64_t ts_us;
-  std::uint64_t dur_us;
-};
+using detail::ProbeState;
+using detail::ThreadRecord;
+using detail::TraceEvent;
 
-// Per-thread buffer. Appends come only from the owning thread; the
-// buffer mutex exists so trace_json()/trace_reset()/stream drains can
-// read from other threads. Uncontended in the hot path.
-struct ThreadBuffer {
-  Mutex mutex SG_ACQUIRED_AFTER(lock_order::obs)
-      SG_ACQUIRED_BEFORE(lock_order::fft_cache);
-  std::vector<TraceEvent> events SG_GUARDED_BY(mutex);
-  std::uint32_t tid = 0;  // assigned once at registration, const afterwards
-};
-
-// Streaming sink state. `mutex` serializes drains; the hot path only
-// touches `pending` (relaxed atomic) and takes the mutex via try_lock,
-// so a drain in progress never blocks recording threads.
-struct StreamState {
+// Streaming trace sink. `mutex` serializes drains; the hot path only
+// touches the atomics and takes the mutex via try_lock, so a drain in
+// progress never blocks recording threads.
+struct TraceStream {
   Mutex mutex SG_ACQUIRED_AFTER(lock_order::obs)
       SG_ACQUIRED_BEFORE(lock_order::fft_cache);
   std::ofstream out SG_GUARDED_BY(mutex);
   std::string path SG_GUARDED_BY(mutex);
   bool any_event SG_GUARDED_BY(mutex) = false;  // comma needed before the next event
-};
-
-struct TraceState {
-  Mutex mutex SG_ACQUIRED_AFTER(lock_order::obs)
-      SG_ACQUIRED_BEFORE(lock_order::fft_cache);
-  std::vector<ThreadBuffer*> buffers SG_GUARDED_BY(mutex);  // leaked; one per thread
-  std::uint32_t next_tid SG_GUARDED_BY(mutex) = 1;
-  // Set at construction, never reset — reads need no lock.
-  std::chrono::steady_clock::time_point origin = std::chrono::steady_clock::now();
-  std::atomic<bool> streaming{false};   // fast check before the pending math
+  std::atomic<bool> streaming{false};     // fast check before the pending math
   std::atomic<std::uint64_t> pending{0};  // events buffered since last drain
-  StreamState stream;
 };
 
-TraceState& state() {
-  // sg-lint: allow(mutable-static) leaked trace singleton: threads may outlive main
-  static TraceState* s = new TraceState();
+TraceStream& trace_stream() {
+  static TraceStream* s = new TraceStream();  // leaked: threads may still record during exit
   return *s;
 }
-
-ThreadBuffer& thread_buffer() {
-  // sg-lint: allow(mutable-static) per-thread span buffer, leaked so events survive thread exit
-  thread_local ThreadBuffer* buffer = [] {
-    auto* b = new ThreadBuffer();  // leaked: events must survive thread exit
-    TraceState& s = state();
-    MutexLock lock(s.mutex);
-    b->tid = s.next_tid++;
-    s.buffers.push_back(b);
-    return b;
-  }();
-  return *buffer;
-}
-
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  return out;
-}
-
-// Primary autostart: runs at static init in any binary that records
-// spans (they reference this TU). The Registry::instance() hook is the
-// backstop; the once-guard makes the pair idempotent.
-const bool g_trace_env_init = [] {
-  detail::trace_env_autostart();
-  return true;
-}();
 
 void format_event(std::ostream& out, const TraceEvent& event, std::uint32_t tid) {
   out << "{\"name\":\"" << json_escape(event.name)
       << "\",\"cat\":\"spectra\",\"ph\":\"X\",\"pid\":1,\"tid\":" << tid
-      << ",\"ts\":" << event.ts_us << ",\"dur\":" << event.dur_us << '}';
+      << ",\"ts\":" << event.start_ns / 1000 << ",\"dur\":" << event.dur_ns / 1000 << '}';
 }
 
-// Move every buffered span into the open stream. Caller holds
+// Move every buffered event into the open stream. Caller holds
 // `stream.mutex`; buffers are cleared as they drain, bounding memory.
-void drain_locked(TraceState& s) SG_REQUIRES(s.stream.mutex) {
-  if (!s.stream.out.is_open()) return;
+void drain_locked(TraceStream& stream) SG_REQUIRES(stream.mutex) {
+  if (!stream.out.is_open()) return;
   std::vector<TraceEvent> batch;
-  std::vector<ThreadBuffer*> buffers;
+  std::vector<ThreadRecord*> records;
   {
+    ProbeState& s = detail::probe_state();
     MutexLock registry_lock(s.mutex);
-    buffers = s.buffers;
+    records = s.records;
   }
-  for (ThreadBuffer* buffer : buffers) {
+  for (ThreadRecord* record : records) {
     batch.clear();
-    std::uint32_t tid = 0;
     {
-      MutexLock lock(buffer->mutex);
-      batch.swap(buffer->events);
-      tid = buffer->tid;
+      MutexLock lock(record->mutex);
+      batch.swap(record->events);
     }
     for (const TraceEvent& event : batch) {
-      if (s.stream.any_event) s.stream.out << ",\n";
-      s.stream.any_event = true;
-      format_event(s.stream.out, event, tid);
+      if (stream.any_event) stream.out << ",\n";
+      stream.any_event = true;
+      format_event(stream.out, event, record->tid);
     }
   }
-  s.pending.store(0, std::memory_order_relaxed);
-  s.stream.out.flush();
+  stream.pending.store(0, std::memory_order_relaxed);
+  stream.out.flush();
   Registry::instance().counter("trace.stream_flushes").inc();
 }
 
 }  // namespace
 
-namespace detail {
-
-std::atomic<bool> g_trace_enabled{false};
-
-std::uint64_t trace_now_us() {
-  const auto elapsed = std::chrono::steady_clock::now() - state().origin;
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
-}
-
-void trace_record(const char* name, std::uint64_t start_us, std::uint64_t dur_us) {
-  ThreadBuffer& buffer = thread_buffer();
-  {
-    MutexLock lock(buffer.mutex);
-    buffer.events.push_back({name, start_us, dur_us});
-  }
-  TraceState& s = state();
-  if (!s.streaming.load(std::memory_order_relaxed)) return;
-  const std::uint64_t pending = s.pending.fetch_add(1, std::memory_order_relaxed) + 1;
+void detail::trace_event_recorded() {
+  TraceStream& stream = trace_stream();
+  if (!stream.streaming.load(std::memory_order_relaxed)) return;
+  const std::uint64_t pending = stream.pending.fetch_add(1, std::memory_order_relaxed) + 1;
   if (pending < kStreamFlushEvents) return;
   // Opportunistic drain: whichever thread crosses the threshold while
   // the stream is free does the work; others keep recording.
-  if (s.stream.mutex.try_lock()) {
-    MutexLock lock(s.stream.mutex, std::adopt_lock);
-    drain_locked(s);
+  if (stream.mutex.try_lock()) {
+    MutexLock lock(stream.mutex, std::adopt_lock);
+    drain_locked(stream);
   }
 }
 
-void trace_env_autostart() {
-  // sg-lint: allow(mutable-static) once-guard for the env autostart hook
-  static bool done = false;
-  if (done) return;
-  done = true;
-  const char* env = std::getenv("SPECTRA_TRACE");
-  if (env == nullptr || env[0] == '\0') return;
-  g_trace_enabled.store(true, std::memory_order_relaxed);
-  trace_stream_open(env);
-  std::atexit([] { trace_stream_close(); });
-}
-
-}  // namespace detail
-
-void trace_set_enabled(bool enabled) {
-  detail::g_trace_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 std::string trace_json() {
-  TraceState& s = state();
+  ProbeState& s = detail::probe_state();
   std::ostringstream out;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   MutexLock registry_lock(s.mutex);
-  for (ThreadBuffer* buffer : s.buffers) {
-    MutexLock lock(buffer->mutex);
-    for (const TraceEvent& event : buffer->events) {
+  for (ThreadRecord* record : s.records) {
+    MutexLock lock(record->mutex);
+    for (const TraceEvent& event : record->events) {
       if (!first) out << ',';
       first = false;
-      format_event(out, event, buffer->tid);
+      format_event(out, event, record->tid);
     }
   }
   out << "]}";
@@ -202,10 +117,10 @@ void trace_flush(const std::string& path) {
   // When the stream owns that file, a whole-document overwrite would
   // corrupt it — route through a drain instead.
   {
-    TraceState& s = state();
-    MutexLock lock(s.stream.mutex);
-    if (s.stream.out.is_open() && s.stream.path == target) {
-      drain_locked(s);
+    TraceStream& stream = trace_stream();
+    MutexLock lock(stream.mutex);
+    if (stream.out.is_open() && stream.path == target) {
+      drain_locked(stream);
       return;
     }
   }
@@ -215,13 +130,15 @@ void trace_flush(const std::string& path) {
 }
 
 void trace_reset() {
-  TraceState& s = state();
-  MutexLock registry_lock(s.mutex);
-  for (ThreadBuffer* buffer : s.buffers) {
-    MutexLock lock(buffer->mutex);
-    buffer->events.clear();
+  {
+    ProbeState& s = detail::probe_state();
+    MutexLock registry_lock(s.mutex);
+    for (ThreadRecord* record : s.records) {
+      MutexLock lock(record->mutex);
+      record->events.clear();
+    }
   }
-  s.pending.store(0, std::memory_order_relaxed);
+  trace_stream().pending.store(0, std::memory_order_relaxed);
 }
 
 bool trace_recover_partial(const std::string& path) {
@@ -262,39 +179,39 @@ bool trace_recover_partial(const std::string& path) {
 
 void trace_stream_open(const std::string& path) {
   if (path.empty()) return;
-  TraceState& s = state();
+  TraceStream& stream = trace_stream();
   // Lock-free already-open check: a drain (which holds the stream mutex)
   // may fault in Registry::instance(), whose env hooks re-enter here —
   // bailing on the atomic avoids self-deadlock on the mutex.
-  if (s.streaming.load(std::memory_order_relaxed)) return;
-  MutexLock lock(s.stream.mutex);
-  if (s.stream.out.is_open()) return;
+  if (stream.streaming.load(std::memory_order_relaxed)) return;
+  MutexLock lock(stream.mutex);
+  if (stream.out.is_open()) return;
   trace_recover_partial(path);
-  s.stream.out.open(path);
-  if (!s.stream.out) return;
-  s.stream.path = path;
-  s.stream.any_event = false;
-  s.stream.out << "[\n";
-  s.stream.out.flush();
-  s.streaming.store(true, std::memory_order_relaxed);
+  stream.out.open(path);
+  if (!stream.out) return;
+  stream.path = path;
+  stream.any_event = false;
+  stream.out << "[\n";
+  stream.out.flush();
+  stream.streaming.store(true, std::memory_order_relaxed);
 }
 
 void trace_stream_drain() {
-  TraceState& s = state();
-  MutexLock lock(s.stream.mutex);
-  drain_locked(s);
+  TraceStream& stream = trace_stream();
+  MutexLock lock(stream.mutex);
+  drain_locked(stream);
 }
 
 void trace_stream_close() {
-  TraceState& s = state();
-  MutexLock lock(s.stream.mutex);
-  if (!s.stream.out.is_open()) return;
-  s.streaming.store(false, std::memory_order_relaxed);
-  drain_locked(s);
-  s.stream.out << "\n]\n";
-  s.stream.out.close();
-  s.stream.path.clear();
-  s.stream.any_event = false;
+  TraceStream& stream = trace_stream();
+  MutexLock lock(stream.mutex);
+  if (!stream.out.is_open()) return;
+  stream.streaming.store(false, std::memory_order_relaxed);
+  drain_locked(stream);
+  stream.out << "\n]\n";
+  stream.out.close();
+  stream.path.clear();
+  stream.any_event = false;
 }
 
 }  // namespace spectra::obs

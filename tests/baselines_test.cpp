@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "baselines/conv3d_lstm.h"
 #include "baselines/doppelganger.h"
@@ -32,6 +34,21 @@ data::CountryDataset tiny_dataset() {
   data::DatasetConfig dc;
   dc.weeks = 1;
   return data::make_country2(dc);
+}
+
+// FNV-1a over the bit pattern of every generated value: any change in the
+// sewn output, down to the last bit, changes the digest.
+std::uint64_t city_digest(const geo::CityTensor& city) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (double v : city.values()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
 }
 
 TEST(FdasTest, FitsHourlyLognormals) {
@@ -113,6 +130,17 @@ TEST(Pix2PixTest, TrainsAndGenerates) {
   for (double v : out.values()) EXPECT_GE(v, 0.0);
 }
 
+// Pins generate() bitwise across changes to how windows are sewn: the
+// digest was recorded before the model moved from the dense
+// OverlapAccumulator to StripAccumulator + CityTensorSink.
+TEST(Pix2PixTest, GenerateDigestIsPinned) {
+  data::CountryDataset dataset = tiny_dataset();
+  Pix2Pix model(tiny_config());
+  Rng rng(11);
+  const geo::CityTensor out = model.generate(dataset.cities[2], 20, rng);
+  EXPECT_EQ(city_digest(out), 0x98180cccdd42a936ULL);
+}
+
 TEST(DoppelGangerTest, TrainsAndGenerates) {
   data::CountryDataset dataset = tiny_dataset();
   DoppelGanger model(tiny_config());
@@ -131,6 +159,15 @@ TEST(Conv3dLstmTest, TrainsAndGenerates) {
   const geo::CityTensor out = model.generate(dataset.cities[1], 24, rng);
   EXPECT_EQ(out.steps(), 24);
   for (double v : out.values()) EXPECT_GE(v, 0.0);
+}
+
+// Same pin for the Conv3D-LSTM baseline.
+TEST(Conv3dLstmTest, GenerateDigestIsPinned) {
+  data::CountryDataset dataset = tiny_dataset();
+  Conv3dLstm model(tiny_config());
+  Rng rng(12);
+  const geo::CityTensor out = model.generate(dataset.cities[1], 24, rng);
+  EXPECT_EQ(city_digest(out), 0xb765e97e79fce2b9ULL);
 }
 
 TEST(ModelApiTest, FactoryKnowsEveryPaperMethod) {

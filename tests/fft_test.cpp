@@ -133,25 +133,5 @@ TEST(IrfftTest, SizeValidation) {
   EXPECT_THROW(irfft(spec, 0), spectra::Error);
 }
 
-// The scratch-reusing Bluestein must produce bitwise-identical output to
-// the historical per-call-allocating variant: same plan, same radix-2
-// arithmetic, only the buffer's provenance differs.
-TEST(BluesteinScratchTest, ReusedScratchBitwiseMatchesAllocating) {
-  for (long n : {21L, 168L, 251L}) {
-    Rng rng(static_cast<std::uint64_t>(n));
-    const std::vector<Complex> x = random_signal(static_cast<std::size_t>(n), rng);
-    for (bool inverse : {false, true}) {
-      std::vector<Complex> reused = x;
-      std::vector<Complex> alloc = x;
-      detail::bluestein_inplace(reused, inverse, /*reuse_scratch=*/true);
-      detail::bluestein_inplace(alloc, inverse, /*reuse_scratch=*/false);
-      for (std::size_t k = 0; k < x.size(); ++k) {
-        EXPECT_EQ(reused[k].real(), alloc[k].real()) << "n=" << n << " k=" << k;
-        EXPECT_EQ(reused[k].imag(), alloc[k].imag()) << "n=" << n << " k=" << k;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace spectra::dsp

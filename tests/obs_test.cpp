@@ -177,10 +177,10 @@ class TraceTest : public ::testing::Test {
 
 TEST_F(TraceTest, NestedSpansProduceWellFormedTraceJson) {
   {
-    SG_TRACE_SPAN("outer");
+    SG_SCOPE("outer");
     {
-      SG_TRACE_SPAN("inner");
-      SG_TRACE_SPAN("sibling");
+      SG_SCOPE("inner");
+      SG_SCOPE("sibling");
     }
   }
   const std::string json = trace_json();
@@ -196,7 +196,7 @@ TEST_F(TraceTest, NestedSpansProduceWellFormedTraceJson) {
 
 TEST_F(TraceTest, SpansFromPoolThreadsAreRecorded) {
   ThreadPool pool(3);
-  pool.parallel_for(8, [](std::size_t) { SG_TRACE_SPAN("pool_span"); });
+  pool.parallel_for(8, [](std::size_t) { SG_SCOPE("pool_span"); });
   const std::string json = trace_json();
   EXPECT_TRUE(json_well_formed(json)) << json;
   std::size_t occurrences = 0;
@@ -208,7 +208,7 @@ TEST_F(TraceTest, SpansFromPoolThreadsAreRecorded) {
 }
 
 TEST_F(TraceTest, FlushWritesFile) {
-  { SG_TRACE_SPAN("flushed_span"); }
+  { SG_SCOPE("flushed_span"); }
   const std::string path = testing::TempDir() + "/sg_trace_flush.json";
   trace_flush(path);
   std::ifstream in(path);
@@ -223,7 +223,7 @@ TEST_F(TraceTest, FlushWritesFile) {
 TEST(TraceDisabledTest, DisabledSpansRecordNothing) {
   trace_set_enabled(false);
   trace_reset();
-  { SG_TRACE_SPAN("ghost"); }
+  { SG_SCOPE("ghost"); }
   const std::string json = trace_json();
   EXPECT_EQ(json.find("ghost"), std::string::npos);
   EXPECT_TRUE(json_well_formed(json));
@@ -430,9 +430,9 @@ class ProfileTest : public ::testing::Test {
 
 TEST_F(ProfileTest, NestedScopesBuildTreeWithCallCounts) {
   {
-    SG_PROFILE_SCOPE("prof_outer");
-    { SG_PROFILE_SCOPE("prof_inner"); }
-    { SG_PROFILE_SCOPE("prof_inner"); }
+    SG_SCOPE("prof_outer");
+    { SG_SCOPE("prof_inner"); }
+    { SG_SCOPE("prof_inner"); }
   }
   const std::string text = profile_report_text();
   EXPECT_NE(text.find("prof_outer"), std::string::npos);
@@ -446,10 +446,10 @@ TEST_F(ProfileTest, NestedScopesBuildTreeWithCallCounts) {
 
 TEST_F(ProfileTest, ExclusiveTimeIsInclusiveMinusChildren) {
   {
-    SG_PROFILE_SCOPE("prof_excl_outer");
+    SG_SCOPE("prof_excl_outer");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     {
-      SG_PROFILE_SCOPE("prof_excl_inner");
+      SG_SCOPE("prof_excl_inner");
       std::this_thread::sleep_for(std::chrono::milliseconds(4));
     }
   }
@@ -468,9 +468,9 @@ TEST_F(ProfileTest, ExclusiveTimeIsInclusiveMinusChildren) {
 
 TEST_F(ProfileTest, WorkIsAttributedToReportingNodeOnly) {
   {
-    SG_PROFILE_SCOPE("prof_work_parent");
+    SG_SCOPE("prof_work_parent");
     {
-      SG_PROFILE_SCOPE("prof_work_child");
+      SG_SCOPE("prof_work_child");
       profile_add_work(2.0e9, 5.0e8);
     }
   }
@@ -487,14 +487,14 @@ TEST_F(ProfileTest, WorkIsAttributedToReportingNodeOnly) {
 TEST_F(ProfileTest, DisabledScopesRecordNothing) {
   profile_set_enabled(false);
   {
-    SG_PROFILE_SCOPE("prof_ghost");
+    SG_SCOPE("prof_ghost");
     profile_add_work(1.0, 1.0);
   }
   EXPECT_EQ(profile_report_text().find("prof_ghost"), std::string::npos);
 }
 
 TEST_F(ProfileTest, ResetClearsTree) {
-  { SG_PROFILE_SCOPE("prof_reset_me"); }
+  { SG_SCOPE("prof_reset_me"); }
   EXPECT_NE(profile_report_text().find("prof_reset_me"), std::string::npos);
   profile_reset();
   EXPECT_EQ(profile_report_text().find("prof_reset_me"), std::string::npos);
@@ -502,7 +502,7 @@ TEST_F(ProfileTest, ResetClearsTree) {
 
 TEST_F(ProfileTest, PoolThreadScopesMergeByPath) {
   ThreadPool pool(3);
-  pool.parallel_for(8, [](std::size_t) { SG_PROFILE_SCOPE("prof_pool_scope"); });
+  pool.parallel_for(8, [](std::size_t) { SG_SCOPE("prof_pool_scope"); });
   const std::string json = profile_report_json();
   EXPECT_TRUE(json_well_formed(json));
   // The same path on different threads merges into one node whose call
@@ -513,7 +513,7 @@ TEST_F(ProfileTest, PoolThreadScopesMergeByPath) {
 }
 
 TEST_F(ProfileTest, DumpWritesWellFormedJsonFile) {
-  { SG_PROFILE_SCOPE("prof_dumped"); }
+  { SG_SCOPE("prof_dumped"); }
   const std::string path = testing::TempDir() + "/sg_profile_dump.json";
   profile_dump(path);
   std::ifstream in(path);
@@ -524,6 +524,87 @@ TEST_F(ProfileTest, DumpWritesWellFormedJsonFile) {
   EXPECT_NE(buffer.str().find("prof_dumped"), std::string::npos);
   EXPECT_NE(buffer.str().find("\"wall_seconds\":"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// --- one probe, two consumers --------------------------------------------
+
+std::size_t count_occurrences(const std::string& haystack, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+// Sets the profile and trace flags per case and restores them after, so
+// the suite behaves the same under SPECTRA_PROFILE / SPECTRA_TRACE.
+class ProbeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_profiling_ = profile_enabled();
+    was_tracing_ = trace_enabled();
+    profile_reset();
+    trace_reset();
+  }
+  void TearDown() override {
+    profile_set_enabled(was_profiling_);
+    trace_set_enabled(was_tracing_);
+    profile_reset();
+    trace_reset();
+  }
+
+  // Opens one scope with the given consumers on, then turns both off so
+  // nothing else lands in the buffers before the reports are read.
+  void run_one_scope(bool profile, bool trace) {
+    profile_set_enabled(profile);
+    trace_set_enabled(trace);
+    {
+      SG_SCOPE("probe_shared");
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+    profile_set_enabled(false);
+    trace_set_enabled(false);
+  }
+
+ private:
+  bool was_profiling_ = false;
+  bool was_tracing_ = false;
+};
+
+TEST_F(ProbeTest, OneScopeFeedsBothFromTheSameTimestamps) {
+  run_one_scope(/*profile=*/true, /*trace=*/true);
+  const std::string trace = trace_json();
+  const std::string profile = profile_report_json();
+  ASSERT_EQ(count_occurrences(trace, "\"probe_shared\""), 1u) << trace;
+  EXPECT_DOUBLE_EQ(json_number_after(profile, "\"probe_shared\"", "calls"), 1.0);
+  // The event's duration is the profile interval truncated to whole
+  // microseconds; the profile JSON keeps six significant digits, so the
+  // printed interval is off by up to 5e-6 of itself either way.
+  const double dur_us = json_number_after(trace, "\"probe_shared\"", "dur");
+  const double incl_us = json_number_after(profile, "\"probe_shared\"", "incl_seconds") * 1e6;
+  const double print_error = 5e-6 * incl_us;
+  EXPECT_GE(dur_us, 3000.0);
+  EXPECT_GE(incl_us - dur_us, -print_error);
+  EXPECT_LT(incl_us - dur_us, 1.0 + print_error);
+}
+
+TEST_F(ProbeTest, TraceOffRecordsNoEvent) {
+  run_one_scope(/*profile=*/true, /*trace=*/false);
+  EXPECT_EQ(trace_json().find("probe_shared"), std::string::npos);
+  EXPECT_DOUBLE_EQ(json_number_after(profile_report_json(), "\"probe_shared\"", "calls"), 1.0);
+}
+
+TEST_F(ProbeTest, ProfileOffRecordsNoNode) {
+  run_one_scope(/*profile=*/false, /*trace=*/true);
+  EXPECT_EQ(profile_report_json().find("probe_shared"), std::string::npos);
+  EXPECT_EQ(count_occurrences(trace_json(), "\"probe_shared\""), 1u);
+}
+
+TEST_F(ProbeTest, BothOffRecordNothing) {
+  run_one_scope(/*profile=*/false, /*trace=*/false);
+  EXPECT_EQ(profile_report_json().find("probe_shared"), std::string::npos);
+  EXPECT_EQ(trace_json().find("probe_shared"), std::string::npos);
 }
 
 // --- resource sampler ---------------------------------------------------
@@ -662,8 +743,8 @@ TEST_F(TraceStreamTest, DrainStreamsEventsBeforeCloseFinalizes) {
       Registry::instance().counter("trace.stream_flushes").value();
 
   trace_stream_open(path);
-  { SG_TRACE_SPAN("stream_span_a"); }
-  { SG_TRACE_SPAN("stream_span_b"); }
+  { SG_SCOPE("stream_span_a"); }
+  { SG_SCOPE("stream_span_b"); }
   trace_stream_drain();
 
   // Events are on disk before process exit (the SIGKILL-safety claim)...
@@ -686,7 +767,7 @@ TEST_F(TraceStreamTest, RecordingPastThresholdDrainsWithoutExplicitFlush) {
   std::remove(path.c_str());
   trace_stream_open(path);
   for (std::uint64_t i = 0; i < kStreamFlushEvents + 8; ++i) {
-    SG_TRACE_SPAN("auto_drain_span");
+    SG_SCOPE("auto_drain_span");
   }
   // The recording thread itself crossed the threshold and drained.
   EXPECT_NE(slurp(path).find("auto_drain_span"), std::string::npos);
@@ -699,7 +780,7 @@ TEST_F(TraceStreamTest, FlushRoutesToStreamWhenItOwnsThePath) {
   const std::string path = testing::TempDir() + "/sg_trace_owned.json";
   std::remove(path.c_str());
   trace_stream_open(path);
-  { SG_TRACE_SPAN("owned_span"); }
+  { SG_SCOPE("owned_span"); }
   trace_flush(path);  // must drain, not overwrite with a whole document
   const std::string contents = slurp(path);
   EXPECT_NE(contents.find("owned_span"), std::string::npos);
